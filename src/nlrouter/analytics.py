@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .rydberg import detuned_params, loss_from_phase
 
@@ -22,6 +22,8 @@ __all__ = [
     "p_ghz",
     "p_cnot",
     "p_factorization",
+    "p_router",
+    "loglog_fit",
     "OptimalPhaseResult",
     "find_optimal_phase",
     "ScalingFit",
@@ -30,7 +32,7 @@ __all__ = [
 
 
 def _interference_terms(phi: float, od_b: float, phi1: float) -> tuple[float, float, float]:
-    """(t1sq, pair_amp, tau-like survival data) for one router.
+    """Single-photon survival, pair amplitude and split-pair weight of one router.
 
     Returns (1 - tau1, sqrt((1-tau1)(1-tau2)) * cos(phi), (1-tau1)(1-tau2) * sin^2(phi)).
     """
@@ -38,6 +40,19 @@ def _interference_terms(phi: float, od_b: float, phi1: float) -> tuple[float, fl
     t1sq = 1.0 - d.tau1
     tpair = math.sqrt(t1sq * (1.0 - d.tau2))
     return t1sq, tpair * math.cos(phi), t1sq * (1.0 - d.tau2) * math.sin(phi) ** 2
+
+
+def p_router(phi: float, od_b: float = math.inf, phi1: float = 0.0) -> dict[tuple[int, int], float]:
+    """Port-count probabilities of a photon pair sent through one router.
+
+    Keys are (photons at single port, photons at pair port), as returned by
+    :func:`nlrouter.protocols.run_router`; only the three both-survive
+    outcomes are given.
+    """
+    t1sq, x, split = _interference_terms(phi, od_b, phi1)
+    a = 0.5 * (x - t1sq)
+    b = 0.5 * (x + t1sq)
+    return {(2, 0): b * b, (1, 1): 0.5 * split, (0, 2): a * a}
 
 
 def p_bell_measurement(phi: float, od_b: float = math.inf, p_de: float = 1.0, phi1: float = 0.0) -> float:
@@ -140,6 +155,25 @@ def find_optimal_phase(protocol: str, od_b: float, p_de: float = 1.0) -> Optimal
     return OptimalPhaseResult(protocol=protocol, od_b=od_b, phi_opt=phi_opt, p_opt=f(phi_opt, od_b, p_de))
 
 
+def loglog_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Least-squares (slope, intercept) of log y against log x.
+
+    Points with y <= 0 are skipped; fewer than two usable points, or all at
+    one x, give (nan, nan).
+    """
+    pairs = [(math.log(x), math.log(y)) for x, y in zip(xs, ys) if y > 0.0]
+    n = len(pairs)
+    if n < 2:
+        return math.nan, math.nan
+    mx = sum(p[0] for p in pairs) / n
+    my = sum(p[1] for p in pairs) / n
+    sxx = sum((p[0] - mx) ** 2 for p in pairs)
+    if sxx == 0.0:
+        return math.nan, math.nan
+    slope = sum((p[0] - mx) * (p[1] - my) for p in pairs) / sxx
+    return slope, my - slope * mx
+
+
 @dataclass(frozen=True)
 class ScalingFit:
     """Power-law fit of the optimized failure probability versus optical depth."""
@@ -157,22 +191,10 @@ def fit_scaling_exponent(
     n_points: int = 20,
 ) -> ScalingFit:
     """Fit 1 - p_opt(od_b) ~ prefactor * od_b**exponent on a log-spaced grid."""
+    if n_points < 2:
+        raise ValueError("n_points must be >= 2")
     ods = [od_min * (od_max / od_min) ** (i / (n_points - 1)) for i in range(n_points)]
-    xs, ys = [], []
-    for od in ods:
-        res = find_optimal_phase(protocol, od)
-        infid = 1.0 - res.p_opt
-        if infid <= 0.0:
-            continue
-        xs.append(math.log(od))
-        ys.append(math.log(infid))
-    n = len(xs)
-    if n < 2:
-        raise ValueError("not enough points with nonzero failure probability")
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = my - slope * mx
+    slope, intercept = loglog_fit(ods, [1.0 - find_optimal_phase(protocol, od).p_opt for od in ods])
+    if math.isnan(slope):
+        raise ValueError("need two distinct optical depths with nonzero failure probability")
     return ScalingFit(protocol=protocol, exponent=slope, prefactor=math.exp(intercept), od_values=tuple(ods))

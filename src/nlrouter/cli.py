@@ -14,11 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Any, Callable, Optional, Sequence, TextIO
 
 from . import analytics, protocols
 from .rydberg import loss_from_phase
@@ -33,21 +31,44 @@ angle grammar (BNF):
 examples: pi, pi/3, 2*pi/3, 0.875, -1/11, 0:pi:128
 """
 
-PROTOCOLS = ("bm", "evl", "ghz", "cnot", "factorization", "router")
 
-_FORMULA: dict[str, Callable[..., float]] = {
-    "bm": analytics.p_bell_measurement,
-    "evl": analytics.p_evl_bell_measurement,
-    "ghz": analytics.p_ghz,
-    "cnot": analytics.p_cnot,
-    "factorization": analytics.p_factorization,
-}
+@dataclass(frozen=True)
+class Protocol:
+    """Everything the CLI knows about one protocol.
 
-_ANALYTIC_NAME = {
-    "bm": "bell_measurement",
-    "evl": "evl_bell_measurement",
-    "ghz": "ghz",
+    ``formula`` and ``simulate`` take the ``SweepPoint`` fields named in
+    ``args``, in that order; a protocol takes the single-photon phase phi1
+    exactly when ``args`` names it.  ``opt_name`` is the protocol's
+    :func:`~nlrouter.analytics.find_optimal_phase` name when ``opt-phase``
+    supports it.  The router returns port-count probabilities, the others a
+    success probability.
+    """
+
+    formula: Callable[..., Any]
+    simulate: Callable[..., Any]
+    args: tuple[str, ...] = ("phi", "od_b", "p_de", "phi1")
+    opt_name: Optional[str] = None
+
+    @property
+    def detunable(self) -> bool:
+        return "phi1" in self.args
+
+
+# The simulators look ``protocols.run_*`` up at call time, so a wrapper
+# installed on that module sees every circuit the CLI runs.
+PROTOCOL_TABLE: dict[str, Protocol] = {
+    "bm": Protocol(analytics.p_bell_measurement, lambda *a: protocols.run_bell_measurement(*a).p_success, opt_name="bell_measurement"),
+    "evl": Protocol(analytics.p_evl_bell_measurement, lambda *a: protocols.run_evl_bell_measurement(*a).p_success, args=("phi", "od_b", "p_de"), opt_name="evl_bell_measurement"),
+    "ghz": Protocol(analytics.p_ghz, lambda *a: protocols.run_ghz(*a).p_success, opt_name="ghz"),
+    "cnot": Protocol(analytics.p_cnot, protocols.simulated_cnot_success),
+    "factorization": Protocol(analytics.p_factorization, protocols.simulated_factorization_success),
+    "router": Protocol(analytics.p_router, lambda phi, od_b, phi1: protocols.run_router(phi, od_b, 2, phi1), args=("phi", "od_b", "phi1")),
 }
+PROTOCOLS = tuple(PROTOCOL_TABLE)
+OPT_PROTOCOLS = tuple(name for name, p in PROTOCOL_TABLE.items() if p.opt_name)
+# The sweep calls closed forms through this dict, so each entry can be swapped alone.
+_FORMULA: dict[str, Callable[..., Any]] = {name: p.formula for name, p in PROTOCOL_TABLE.items()}
+_ROUTER_PORTS = (("router-uu", (2, 0)), ("router-uw", (1, 1)), ("router-ww", (0, 2)))
 
 
 class CliError(Exception):
@@ -107,29 +128,29 @@ def parse_phi_spec(text: str) -> list[float]:
     return [start + (stop - start) * i / (n - 1) for i in range(n)]
 
 
+def _parse_float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise CliError(f"bad number {text!r}", USAGE_ERROR) from None
+
+
 def _parse_float_list(text: str) -> list[float]:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        out.append(math.inf if piece in ("inf", "Inf", "INF") else float(piece))
-    return out
+    return [_parse_float(piece) for piece in text.split(",")]
+
+
+def _check_operating_point(phis: Sequence[float], ods: Sequence[float], pdes: Sequence[float]) -> None:
+    """Refuse values outside the model's domain; a phase beyond od_b/4 is a row status instead."""
+    if not all(math.isfinite(phi) for phi in phis):
+        raise CliError("phi and phi1 must be finite", USAGE_ERROR)
+    if not all(od > 0.0 for od in ods):
+        raise CliError("od_b must be positive (inf allowed)", USAGE_ERROR)
+    if not all(0.0 <= pde <= 1.0 for pde in pdes):
+        raise CliError("p_de must lie in [0, 1]", USAGE_ERROR)
 
 
 def _fmt(x: float) -> str:
     return "%.12g" % x
-
-
-def _workers() -> int:
-    env = os.environ.get("NLR_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise CliError(f"NLR_THREADS must be an integer, got {env!r}", USAGE_ERROR) from None
-        if n < 1:
-            raise CliError("NLR_THREADS must be >= 1", USAGE_ERROR)
-        return n
-    return min(8, os.cpu_count() or 1)
 
 
 # --------------------------------------------------------------------- sweep
@@ -143,128 +164,67 @@ class SweepPoint:
     phi1: float
 
 
-def _simulated(protocol: str, pt: SweepPoint) -> float:
-    if protocol == "bm":
-        return protocols.run_bell_measurement(pt.phi, pt.od_b, pt.p_de, pt.phi1).p_success
-    if protocol == "evl":
-        return protocols.run_evl_bell_measurement(pt.phi, pt.od_b, pt.p_de).p_success
-    if protocol == "ghz":
-        return protocols.run_ghz(pt.phi, pt.od_b, pt.p_de, pt.phi1).p_success
-    if protocol == "cnot":
-        return protocols.simulated_cnot_success(pt.phi, pt.od_b, pt.p_de, pt.phi1)
-    if protocol == "factorization":
-        return protocols.simulated_factorization_success(pt.phi, pt.od_b, pt.p_de, pt.phi1)
-    raise CliError(f"no simulator engine for protocol {protocol!r}", NUMERICAL_ERROR)
-
-
-def _router_rows(pt: SweepPoint, engine: str) -> list[dict]:
-    """Three rows per point: pair at single port, split pair, pair at pair port."""
-    rows = []
-    try:
-        if engine in ("simulator", "both"):
-            sim = protocols.run_router(pt.phi, pt.od_b, 2, pt.phi1)
-        d = None
-        if engine in ("formula", "both"):
-            from .rydberg import detuned_params
-
-            d = detuned_params(pt.phi, pt.od_b, pt.phi1)
-    except ValueError:
-        return [_row(pt, f"router-{k}", engine, None, None, "unreachable") for k in ("uu", "uw", "ww")]
-    if d is not None:
-        t1 = 1.0 - d.tau1
-        pair = math.sqrt(t1 * (1.0 - d.tau2))
-        a = 0.5 * (pair * math.cos(pt.phi) - t1)
-        b = 0.5 * (pair * math.cos(pt.phi) + t1)
-        c2 = t1 * (1.0 - d.tau2) * math.sin(pt.phi) ** 2
-        formula = {"uu": b * b, "uw": 0.5 * c2, "ww": a * a}
-    for key, counts in (("uu", (2, 0)), ("uw", (1, 1)), ("ww", (0, 2))):
-        f_val = formula[key] if engine in ("formula", "both") else None
-        s_val = sim.get(counts, 0.0) if engine in ("simulator", "both") else None
-        rows.append(_row(pt, f"router-{key}", engine, f_val, s_val, "ok"))
-    return rows
-
-
 def _row(pt: SweepPoint, protocol: str, engine: str, formula: Optional[float], sim: Optional[float], status: str) -> dict:
-    return {
+    """One output record of raw values, keys in JSON order."""
+    row = {
         "phi": pt.phi,
         "od_b": pt.od_b,
         "p_de": pt.p_de,
         "phi1": pt.phi1,
         "protocol": protocol,
         "engine": engine,
-        "formula": formula,
-        "sim": sim,
+        "probability": sim if engine == "simulator" else formula,
         "status": status,
     }
+    if engine == "both":  # both values exist or neither does
+        row["probability_sim"] = sim
+        row["abs_delta"] = None if sim is None else abs(formula - sim)
+    return row
 
 
 def _sweep_point_rows(protocol: str, engine: str, pt: SweepPoint) -> list[dict]:
-    if protocol == "router":
-        return _router_rows(pt, engine)
+    spec = PROTOCOL_TABLE[protocol]
+    args = [getattr(pt, field) for field in spec.args]
     try:
-        f_val = None
-        if engine in ("formula", "both"):
-            if protocol == "evl":
-                f_val = analytics.p_evl_bell_measurement(pt.phi, pt.od_b, pt.p_de)
-            else:
-                f_val = _FORMULA[protocol](pt.phi, pt.od_b, pt.p_de, pt.phi1)
-        s_val = _simulated(protocol, pt) if engine in ("simulator", "both") else None
+        f_val = _FORMULA[protocol](*args) if engine != "simulator" else None
+        s_val = spec.simulate(*args) if engine != "formula" else None
+        status = "ok"
     except ValueError:
-        return [_row(pt, protocol, engine, None, None, "unreachable")]
-    return [_row(pt, protocol, engine, f_val, s_val, "ok")]
+        f_val = s_val = None
+        status = "unreachable"
+    if protocol != "router":
+        return [_row(pt, protocol, engine, f_val, s_val, status)]
+    return [
+        _row(pt, label, engine, None if f_val is None else f_val[port], None if s_val is None else s_val.get(port, 0.0), status)
+        for label, port in _ROUTER_PORTS
+    ]
 
 
 def _emit_rows(rows: list[dict], engine: str, fmt: str, out: TextIO) -> None:
     both = engine == "both"
-    header = ["phi", "od_b", "p_de", "phi1", "protocol", "engine", "probability"]
-    if both:
-        header += ["probability_sim", "abs_delta"]
-    header.append("status")
-    max_delta = 0.0
+    max_delta = max([0.0] + [r["abs_delta"] for r in rows if both and r["abs_delta"] is not None])
     if fmt == "csv":
+        header = ["phi", "od_b", "p_de", "phi1", "protocol", "engine", "probability"]
+        header += ["probability_sim", "abs_delta", "status"] if both else ["status"]
         out.write(",".join(header) + "\n")
         for r in rows:
-            prob = r["sim"] if engine == "simulator" else r["formula"]
-            cells = [_fmt(r["phi"]), _fmt(r["od_b"]), _fmt(r["p_de"]), _fmt(r["phi1"]), r["protocol"], r["engine"]]
-            cells.append("" if prob is None else _fmt(prob))
-            if both:
-                if r["formula"] is None or r["sim"] is None:
-                    cells += ["", ""]
-                else:
-                    delta = abs(r["formula"] - r["sim"])
-                    max_delta = max(max_delta, delta)
-                    cells += [_fmt(r["sim"]), _fmt(delta)]
-            cells.append(r["status"])
-            out.write(",".join(cells) + "\n")
+            out.write(",".join(_cell(r[k]) for k in header) + "\n")
         if both:
             out.write(f"# max_abs_delta = {_fmt(max_delta)}\n")
     else:
-        records = []
-        for r in rows:
-            prob = r["sim"] if engine == "simulator" else r["formula"]
-            rec = {
-                "phi": _jsonf(r["phi"]),
-                "od_b": _jsonf(r["od_b"]),
-                "p_de": _jsonf(r["p_de"]),
-                "phi1": _jsonf(r["phi1"]),
-                "protocol": r["protocol"],
-                "engine": r["engine"],
-                "probability": None if prob is None else _jsonf(prob),
-                "status": r["status"],
-            }
-            if both:
-                good = r["formula"] is not None and r["sim"] is not None
-                rec["probability_sim"] = _jsonf(r["sim"]) if good else None
-                rec["abs_delta"] = _jsonf(abs(r["formula"] - r["sim"])) if good else None
-                if good:
-                    max_delta = max(max_delta, abs(r["formula"] - r["sim"]))
-            records.append(rec)
+        records = [{k: _jsonf(v) for k, v in r.items()} for r in rows]
         doc: object = records if not both else {"records": records, "max_abs_delta": _jsonf(max_delta)}
         json.dump(doc, out, indent=2)
         out.write("\n")
 
 
-def _jsonf(x: float) -> object:
+def _cell(x: Optional[object]) -> str:
+    return "" if x is None else x if isinstance(x, str) else _fmt(x)
+
+
+def _jsonf(x: Optional[object]) -> object:
+    if x is None or isinstance(x, str):
+        return x
     if math.isinf(x):
         return "inf"
     return float(_fmt(x))
@@ -279,31 +239,39 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise CliError(f"cannot read config: {exc}", IO_ERROR) from None
         except json.JSONDecodeError as exc:
             raise CliError(f"bad config file: {exc}", USAGE_ERROR) from None
+        if not isinstance(cfg, dict):
+            raise CliError("config file must hold a JSON object", USAGE_ERROR)
         for key in ("protocol", "phi", "odb", "pde", "phi1_ratio", "engine", "out", "format"):
-            if key in cfg and getattr(args, key) in (None,):
-                setattr(args, key, cfg[key])
+            value = cfg.get(key)
+            if value is None or getattr(args, key) is not None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise CliError(f"config field {key!r} must be a string or a number", USAGE_ERROR)
+            setattr(args, key, str(value))
     protocol = args.protocol or "bm"
     if protocol not in PROTOCOLS:
         raise CliError(f"unknown protocol {protocol!r}; choose from {', '.join(PROTOCOLS)}", USAGE_ERROR)
     engine = {"sim": "simulator"}.get(args.engine or "formula", args.engine or "formula")
     if engine not in ("formula", "simulator", "both"):
         raise CliError(f"unknown engine {args.engine!r}", USAGE_ERROR)
+    fmt = args.format or "csv"
+    if fmt not in ("csv", "json"):
+        raise CliError(f"unknown format {fmt!r}", USAGE_ERROR)
     phis = parse_phi_spec(args.phi if args.phi is not None else "0:pi:128")
     ods = _parse_float_list(args.odb) if args.odb is not None else [math.inf]
     pdes = _parse_float_list(args.pde) if args.pde is not None else [1.0]
     ratio = parse_pi_expr(args.phi1_ratio) if args.phi1_ratio is not None else 0.0
-    if protocol == "evl" and ratio != 0.0:
-        raise CliError("the ancilla-assisted protocol has no detuned variant; use --phi1-ratio 0", USAGE_ERROR)
-    points = [
-        SweepPoint(phi=phi, od_b=od, p_de=pde, phi1=ratio * phi)
+    if ratio != 0.0 and not PROTOCOL_TABLE[protocol].detunable:
+        raise CliError(f"protocol {protocol!r} has no detuned variant; use --phi1-ratio 0", USAGE_ERROR)
+    _check_operating_point(phis + [ratio * phi for phi in phis], ods, pdes)
+    rows = [
+        row
         for phi in phis
         for od in ods
         for pde in pdes
+        for row in _sweep_point_rows(protocol, engine, SweepPoint(phi=phi, od_b=od, p_de=pde, phi1=ratio * phi))
     ]
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        chunks = list(pool.map(lambda pt: _sweep_point_rows(protocol, engine, pt), points))
-    rows = [r for chunk in chunks for r in chunk]
-    return _write_output(args.out, lambda fh: _emit_rows(rows, engine, args.format or "csv", fh))
+    return _write_output(args.out, lambda fh: _emit_rows(rows, engine, fmt, fh))
 
 
 # -------------------------------------------------------------------- circle
@@ -311,6 +279,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_circle(args: argparse.Namespace) -> int:
     ods = _parse_float_list(args.odb) if args.odb is not None else [3.5, 8.0]
+    _check_operating_point([], ods, [])
     points = args.points
     if points < 2:
         raise CliError("--points must be >= 2", USAGE_ERROR)
@@ -335,34 +304,29 @@ def cmd_circle(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- opt-phase
 
 
-def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    pairs = [(math.log(x), math.log(y)) for x, y in zip(xs, ys) if y > 0.0]
-    n = len(pairs)
+def _parse_od_range(text: str) -> list[float]:
+    """Log-spaced ``start:stop:points`` optical depths, both bounds finite and positive."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise CliError(f"od_b range must be start:stop:points, got {text!r}", USAGE_ERROR)
+    lo, hi = _parse_float(parts[0]), _parse_float(parts[1])
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise CliError("od_b range bounds must be finite and positive", USAGE_ERROR)
+    try:
+        n = int(parts[2])
+    except ValueError:
+        raise CliError(f"point count must be an integer, got {parts[2]!r}", USAGE_ERROR) from None
     if n < 2:
-        return math.nan
-    mx = sum(p[0] for p in pairs) / n
-    my = sum(p[1] for p in pairs) / n
-    sxx = sum((p[0] - mx) ** 2 for p in pairs)
-    sxy = sum((p[0] - mx) * (p[1] - my) for p in pairs)
-    return sxy / sxx
+        raise CliError("od_b range needs at least 2 points", USAGE_ERROR)
+    return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
 
 
 def cmd_opt_phase(args: argparse.Namespace) -> int:
-    protocol = args.protocol or "bm"
-    if protocol not in _ANALYTIC_NAME:
-        raise CliError(f"opt-phase supports protocols {', '.join(_ANALYTIC_NAME)}", USAGE_ERROR)
-    if args.odb is None:
-        ods = [60.0 * (2000.0 / 60.0) ** (i / 19) for i in range(20)]
-    elif ":" in args.odb:
-        lo_s, hi_s, n_s = args.odb.split(":")
-        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-        if n < 2:
-            raise CliError("od_b range needs at least 2 points", USAGE_ERROR)
-        ods = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
-    else:
-        ods = _parse_float_list(args.odb)
-    pde = float(args.pde) if args.pde is not None else 1.0
-    name = _ANALYTIC_NAME[protocol]
+    name = PROTOCOL_TABLE[args.protocol or "bm"].opt_name
+    odb = args.odb if args.odb is not None else "60:2000:20"
+    ods = _parse_od_range(odb) if ":" in odb else _parse_float_list(odb)
+    pde = _parse_float(args.pde) if args.pde is not None else 1.0
+    _check_operating_point([], ods, [pde])
     results = [analytics.find_optimal_phase(name, od, pde) for od in ods]
 
     def emit(fh: TextIO) -> None:
@@ -370,8 +334,9 @@ def cmd_opt_phase(args: argparse.Namespace) -> int:
         for r in results:
             fh.write(",".join((_fmt(r.od_b), _fmt(r.phi_opt), _fmt(r.p_opt))) + "\n")
         finite = [r for r in results if not math.isinf(r.od_b)]
-        infid = _loglog_slope([r.od_b for r in finite], [1.0 - r.p_opt for r in finite])
-        gap = _loglog_slope([r.od_b for r in finite], [math.pi - r.phi_opt for r in finite])
+        finite_ods = [r.od_b for r in finite]
+        infid, _ = analytics.loglog_fit(finite_ods, [1.0 - r.p_opt for r in finite])
+        gap, _ = analytics.loglog_fit(finite_ods, [math.pi - r.phi_opt for r in finite])
         fh.write(f"# infidelity_exponent = {_fmt(infid)}\n")
         fh.write(f"# phase_gap_exponent = {_fmt(gap)}\n")
 
@@ -386,12 +351,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     worst = 0.0
     for phi in (math.pi / 4, math.pi / 3, 2.5):
         for od in (math.inf, 30.0):
-            for name, form, sim in (
-                ("bm", analytics.p_bell_measurement, lambda p, o: protocols.run_bell_measurement(p, o, 0.95).p_success),
-                ("evl", analytics.p_evl_bell_measurement, lambda p, o: protocols.run_evl_bell_measurement(p, o, 0.95).p_success),
-                ("ghz", analytics.p_ghz, lambda p, o: protocols.run_ghz(p, o, 0.95).p_success),
-            ):
-                delta = abs(form(phi, od, 0.95) - sim(phi, od))
+            for name in OPT_PROTOCOLS:  # the three elementary circuits
+                spec = PROTOCOL_TABLE[name]
+                delta = abs(spec.formula(phi, od, 0.95) - spec.simulate(phi, od, 0.95))
                 worst = max(worst, delta)
                 print(f"{name} phi={_fmt(phi)} od_b={_fmt(od)} |delta|={delta:.3e}")
     circle_worst = 0.0
@@ -459,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     circle.set_defaults(func=cmd_circle)
 
     opt = sub.add_parser("opt-phase", help="optimal phase versus optical depth")
-    opt.add_argument("--protocol", choices=tuple(_ANALYTIC_NAME), help="protocol (default bm)")
+    opt.add_argument("--protocol", choices=OPT_PROTOCOLS, help="protocol (default bm)")
     opt.add_argument("--odb", help="comma list or log-spaced start:stop:points (default 60:2000:20)")
     opt.add_argument("--pde", help="detection efficiency (default 1)")
     opt.add_argument("--out", help="output path (default stdout)")

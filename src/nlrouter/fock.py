@@ -9,16 +9,14 @@ normalized ket and total photon number is conserved exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "ModeId",
     "FockState",
     "OutcomeRecord",
-    "ElementSpec",
     "NonlinearMediumSpec",
-    "apply_element",
     "apply_beamsplitter",
     "apply_phase",
     "apply_pbs",
@@ -72,21 +70,10 @@ class FockState:
     # ---------------------------------------------------------------- basics
 
     @classmethod
-    def vacuum(cls, modes: Sequence[ModeId] = ()) -> "FockState":
-        modes = tuple(modes)
-        return cls(modes, {(0,) * len(modes): 1.0 + 0.0j})
-
-    @classmethod
     def from_occupations(cls, occupations: Mapping[ModeId, int]) -> "FockState":
         modes = tuple(occupations)
         occ = tuple(occupations[m] for m in modes)
         return cls(modes, {occ: 1.0 + 0.0j})
-
-    def copy(self) -> "FockState":
-        return FockState(self.modes, dict(self.terms))
-
-    def index_of(self, mode: ModeId) -> int:
-        return self.modes.index(mode)
 
     def ensure_modes(self, new_modes: Iterable[ModeId]) -> "FockState":
         """Return an equivalent state whose registry includes ``new_modes``."""
@@ -96,12 +83,6 @@ class FockState:
         modes = self.modes + tuple(missing)
         pad = (0,) * len(missing)
         return FockState(modes, {occ + pad: a for occ, a in self.terms.items()})
-
-    def occupation(self, occ: tuple, mode: ModeId) -> int:
-        try:
-            return occ[self.modes.index(mode)]
-        except ValueError:
-            return 0
 
     def norm_squared(self) -> float:
         return sum((a.real * a.real + a.imag * a.imag) for a in self.terms.values())
@@ -121,17 +102,6 @@ class FockState:
         if n == 0.0:
             raise ValueError("cannot normalize a zero state")
         return self.scaled(1.0 / n)
-
-    def add(self, other: "FockState") -> "FockState":
-        a = self.ensure_modes(other.modes)
-        b = other.ensure_modes(a.modes)
-        # align b's occupation order with a's registry
-        perm = [b.modes.index(m) for m in a.modes]
-        terms = dict(a.terms)
-        for occ, amp in b.terms.items():
-            key = tuple(occ[p] for p in perm)
-            terms[key] = terms.get(key, 0.0j) + amp
-        return FockState(a.modes, terms)
 
     def tensor(self, other: "FockState") -> "FockState":
         """Product state on the disjoint union of the two registries."""
@@ -158,18 +128,6 @@ class FockState:
 
     def fidelity(self, other: "FockState") -> float:
         return abs(self.inner(other)) ** 2
-
-    def restricted(self, keep: Sequence[ModeId]) -> "FockState":
-        """Project registry down to ``keep``; other modes must be empty."""
-        idx = [self.modes.index(m) for m in keep]
-        drop = [i for i in range(len(self.modes)) if i not in idx]
-        terms: dict[tuple, complex] = {}
-        for occ, amp in self.terms.items():
-            if any(occ[i] for i in drop):
-                raise ValueError("restricted() requires dropped modes to be empty")
-            key = tuple(occ[i] for i in idx)
-            terms[key] = terms.get(key, 0.0j) + amp
-        return FockState(tuple(keep), terms)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = []
@@ -486,40 +444,6 @@ def apply_detector_efficiency(state: FockState, spatials: Sequence[str], p_de: f
     for sp in spatials:
         state = apply_loss(state, sp, p_de, tag="undet")
     return state
-
-
-# ---------------------------------------------------------------- elements
-
-
-@dataclass(frozen=True)
-class ElementSpec:
-    """Declarative description of one circuit element.
-
-    kind: "bs", "pbs", "rot45", "phase", "medium", "loss" or "detector_eff".
-    ``params`` carries the kind-specific arguments (see :func:`apply_element`).
-    """
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-
-def apply_element(state: FockState, spec: ElementSpec) -> FockState:
-    kind, p = spec.kind, spec.params
-    if kind == "bs":
-        return apply_beamsplitter(state, p.get("in1"), p.get("in2"), p["out1"], p["out2"])
-    if kind == "pbs":
-        return apply_pbs(state, p["in1"], p["in2"], p["out1"], p["out2"])
-    if kind == "rot45":
-        return apply_rotation_45(state, p["spatial"])
-    if kind == "phase":
-        return apply_phase(state, p["spatial"], p["phase"])
-    if kind == "medium":
-        return apply_nonlinear_medium(state, p["arm"], p["spec"], p.get("sign", 1))
-    if kind == "loss":
-        return apply_loss(state, p["spatial"], p["transmission"], p.get("tag", "lin"))
-    if kind == "detector_eff":
-        return apply_detector_efficiency(state, p["spatials"], p["p_de"])
-    raise ValueError(f"unknown element kind {spec.kind!r}")
 
 
 # -------------------------------------------------------------- measurement

@@ -97,3 +97,7 @@ class TestScalingFits:
         # golden values frozen at first derivation
         assert abs(bm.exponent - (-0.897870710093957)) < 1e-6
         assert abs(ghz.exponent - (-0.932393902230157)) < 1e-6
+
+    def test_single_point_grid_is_refused(self):
+        with pytest.raises(ValueError, match="n_points must be >= 2"):
+            fit_scaling_exponent("ghz", n_points=1)

@@ -1,10 +1,14 @@
 """CLI behavior: parsing, schema, determinism, exit codes."""
 
+import contextlib
+import csv
+import io
 import json
 import math
-import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlrouter.cli import CliError, main, parse_phi_spec, parse_pi_expr
 
@@ -99,8 +103,7 @@ class TestSweep:
         assert float(row[3]) == pytest.approx(-math.pi / 33)
         assert float(row[6]) == pytest.approx(0.671880371880849, abs=1e-12)
 
-    def test_thread_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("NLR_THREADS", "2")
+    def test_multi_point_both_engine_rows(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--protocol", "ghz", "--phi", "0:pi:4", "--engine", "both")
         assert code == 0
         assert len(out.strip().split("\n")) == 6  # header + 4 rows + footer
@@ -150,6 +153,93 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sweep", "--protocol", "evl", "--phi", "pi/3", "--phi1-ratio", "0.1")
         assert code == 1
         assert "no detuned variant" in err
+
+    def test_numeric_config_value_is_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"protocol": "bm", "phi": "pi/3", "odb": 30, "pde": 0.98}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        _, expected, _ = run_cli(capsys, "sweep", "--phi", "pi/3", "--odb", "30", "--pde", "0.98")
+        assert out == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--odb", "abc"],
+            ["sweep", "--pde", "1.5"],
+            ["sweep", "--pde=-0.5"],
+            ["sweep", "--odb", "0"],
+            ["sweep", "--odb=-5"],
+            ["sweep", "--odb", "nan"],
+            ["sweep", "--phi", "nan"],
+            ["sweep", "--phi", "0:inf:3"],
+            ["sweep", "--phi", "pi/3", "--phi1-ratio", "nan"],
+            ["opt-phase", "--odb", "0:10:3"],
+            ["opt-phase", "--odb", "60:2000:x"],
+            ["opt-phase", "--odb", "60:inf:3"],
+            ["opt-phase", "--odb", "abc"],
+            ["opt-phase", "--odb", "100", "--pde", "1.5"],
+            ["circle", "--odb", "nan"],
+        ],
+    )
+    def test_bad_value_is_one_line_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("nlrouter: error: ") and err.count("\n") == 1
+
+
+_SWEEP_VALUES = {
+    "--protocol": ["bm", "evl", "ghz", "cnot", "router", "warp"],
+    "--phi": ["pi/3", "0:pi:3", "2.9", "-pi", "1e300", "nan", "inf", "three", "0:pi:x"],
+    "--odb": ["30", "inf", "8,inf", "1e-300", "0", "-5", "nan", "abc", "30,"],
+    "--pde": ["0.98", "1", "0", "0.5,1", "1.5", "-0.5", "nan", "abc"],
+    "--phi1-ratio": ["0", "-1/11", "0.1", "nan", "inf", "x"],
+    "--engine": ["formula", "both", "sim"],
+    "--format": ["csv", "json"],
+}
+_OPT_VALUES = {
+    "--protocol": ["bm", "evl", "ghz", "cnot"],
+    "--odb": ["100", "5", "60:500:3", "60,inf", "100,100", "0:10:3", "60:2000:x", "60:inf:3", "1:2", "abc", "-5", "nan"],
+    "--pde": ["1", "0.9", "1.5", "abc", "nan"],
+}
+
+
+def _argv(command, values):
+    options = st.fixed_dictionaries({flag: st.none() | st.sampled_from(vals) for flag, vals in values.items()})
+    return options.map(lambda opts: [command] + [f"{k}={v}" for k, v in opts.items() if v is not None])
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _ok_probabilities(text):
+    if text.startswith("["):
+        records = json.loads(text)
+    elif text.startswith("{"):
+        records = json.loads(text)["records"]
+    else:
+        records = csv.DictReader(line for line in text.splitlines() if not line.startswith("#"))
+    for rec in records:
+        if rec.get("status", "ok") == "ok":
+            for key in ("probability", "probability_sim", "p_opt"):
+                if rec.get(key) is not None:
+                    yield float(rec[key])
+
+
+class TestArgvProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(_argv("sweep", _SWEEP_VALUES), _argv("opt-phase", _OPT_VALUES)))
+    def test_exit_code_and_probability_range(self, argv):
+        code, out = _run_quietly(argv)
+        assert code in (0, 1, 2, 3)
+        assert all(0.0 <= p <= 1.0 for p in _ok_probabilities(out))
 
 
 class TestDeterminism:

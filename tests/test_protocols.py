@@ -49,6 +49,11 @@ class TestRouter:
             # photon absorbed in the medium, partner photon at either port
             assert abs(probs.get((1, 0), 0.0) - tau / 4.0) < EXACT
             assert abs(probs.get((0, 1), 0.0) - tau / 4.0) < EXACT
+            for od_b in (math.inf, od):
+                for phi1 in (0.0, -phi / 11.0):
+                    sim = run_router(phi, od_b, 2, phi1)
+                    for port, p in analytics.p_router(phi, od_b, phi1).items():
+                        assert abs(sim.get(port, 0.0) - p) < EXACT
 
     def test_probabilities_sum_to_one(self):
         total = sum(run_router(2.0, 12.0).values())
