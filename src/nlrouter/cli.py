@@ -22,10 +22,11 @@ from . import analytics, protocols
 from .rydberg import loss_from_phase
 
 USAGE_ERROR, NUMERICAL_ERROR, IO_ERROR = 1, 2, 3
+MAX_POINTS = 1_000_000  # per range, checked before the grid is built
 
 ANGLE_GRAMMAR = """\
 angle grammar (BNF):
-  angle  := expr | expr ":" expr ":" INT      (range: INT >= 2 points, inclusive)
+  angle  := expr | expr ":" expr ":" INT      (range: 2 <= INT <= 1000000 points, inclusive)
   expr   := ["-"] factor { ("*" | "/") factor }
   factor := "pi" | NUMBER
 examples: pi, pi/3, 2*pi/3, 0.875, -1/11, 0:pi:128
@@ -119,13 +120,21 @@ def parse_phi_spec(text: str) -> list[float]:
     if len(parts) != 3:
         raise CliError(f"range must be start:stop:points, got {text!r}", USAGE_ERROR)
     start, stop = parse_pi_expr(parts[0]), parse_pi_expr(parts[1])
-    try:
-        n = int(parts[2])
-    except ValueError:
-        raise CliError(f"point count must be an integer, got {parts[2]!r}", USAGE_ERROR) from None
-    if n < 2:
-        raise CliError("range needs at least 2 points", USAGE_ERROR)
+    n = _parse_count(parts[2], "range")
     return [start + (stop - start) * i / (n - 1) for i in range(n)]
+
+
+def _parse_count(text: str, what: str) -> int:
+    """The point count of a range: an integer from 2 to ``MAX_POINTS``."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise CliError(f"point count must be an integer, got {text!r}", USAGE_ERROR) from None
+    if n < 2:
+        raise CliError(f"{what} needs at least 2 points", USAGE_ERROR)
+    if n > MAX_POINTS:
+        raise CliError(f"{what} has {n} points; at most {MAX_POINTS} are allowed", USAGE_ERROR)
+    return n
 
 
 def _parse_float(text: str) -> float:
@@ -312,12 +321,7 @@ def _parse_od_range(text: str) -> list[float]:
     lo, hi = _parse_float(parts[0]), _parse_float(parts[1])
     if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
         raise CliError("od_b range bounds must be finite and positive", USAGE_ERROR)
-    try:
-        n = int(parts[2])
-    except ValueError:
-        raise CliError(f"point count must be an integer, got {parts[2]!r}", USAGE_ERROR) from None
-    if n < 2:
-        raise CliError("od_b range needs at least 2 points", USAGE_ERROR)
+    n = _parse_count(parts[2], "od_b range")
     return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
 
 

@@ -4,6 +4,10 @@ States are kept as a mapping from occupation vectors to complex amplitudes.
 Loss is purified: every absorption event moves the lost photon into a
 dedicated sink mode instead of tracing it out, so the global state stays a
 normalized ket and total photon number is conserved exactly.
+
+The golden datasets pin the simulator's ``abs_delta`` column to the last
+ulp, so a change to this engine must keep every floating-point operation
+and its order (and the insertion order of every term dict) as it is.
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ class FockState:
 
     def ensure_modes(self, new_modes: Iterable[ModeId]) -> "FockState":
         """Return an equivalent state whose registry includes ``new_modes``."""
-        missing = list(dict.fromkeys(m for m in new_modes if m not in self.modes))
+        have = set(self.modes)
+        missing = list(dict.fromkeys(m for m in new_modes if m not in have))
         if not missing:
             return self
         modes = self.modes + tuple(missing)
@@ -118,7 +123,8 @@ class FockState:
     def inner(self, other: "FockState") -> complex:
         a = self.ensure_modes(other.modes)
         b = other.ensure_modes(a.modes)
-        perm = [b.modes.index(m) for m in a.modes]
+        pos = {m: i for i, m in enumerate(b.modes)}
+        perm = [pos[m] for m in a.modes]
         bterms = {tuple(occ[p] for p in perm): amp for occ, amp in b.terms.items()}
         out = 0.0j
         for occ, amp in a.terms.items():
@@ -150,39 +156,41 @@ def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[
     targets = [m for outs in mapping.values() for m, _ in outs]
     state = state.ensure_modes(list(mapping) + targets)
     modes = state.modes
-    mapped_idx = {m: modes.index(m) for m in mapping}
+    index = {m: i for i, m in enumerate(modes)}
+    mapped = [(index[m], [(index[t], c) for t, c in outs]) for m, outs in mapping.items()]
     new_terms: dict[tuple, complex] = {}
     for occ, amp in state.terms.items():
         base = list(occ)
         amp_eff = amp
-        powers: list[tuple[ModeId, int]] = []
-        for m, i in mapped_idx.items():
+        powers: list[tuple[list[tuple[int, complex]], int]] = []
+        for i, outs in mapped:
             n = occ[i]
             if n:
                 base[i] = 0
                 amp_eff /= math.sqrt(math.factorial(n))
-                powers.append((m, n))
+                powers.append((outs, n))
         if not powers:
             new_terms[occ] = new_terms.get(occ, 0.0j) + amp
             continue
-        # polynomial over added occupations: dict added_occ_tuple -> coeff
-        poly: dict[tuple[int, ...], complex] = {(0,) * len(modes): 1.0 + 0.0j}
-        for m, n in powers:
-            outs = [(modes.index(t), c) for t, c in mapping[m]]
+        # polynomial over added photons: sorted ((target index, count), ...) -> coeff;
+        # the keys are canonical, so they merge and iterate as dense occupation tuples would
+        poly: dict[tuple[tuple[int, int], ...], complex] = {(): 1.0 + 0.0j}
+        for outs, n in powers:
             for _ in range(n):
-                nxt: dict[tuple[int, ...], complex] = {}
+                nxt: dict[tuple[tuple[int, int], ...], complex] = {}
                 for add, coeff in poly.items():
                     for j, c in outs:
-                        key = add[:j] + (add[j] + 1,) + add[j + 1 :]
+                        counts = dict(add)
+                        counts[j] = counts.get(j, 0) + 1
+                        key = tuple(sorted(counts.items()))
                         nxt[key] = nxt.get(key, 0.0j) + coeff * c
                 poly = nxt
         for add, coeff in poly.items():
             factor = 1.0
             final = list(base)
-            for j, extra in enumerate(add):
-                if extra:
-                    final[j] += extra
-                    factor *= math.sqrt(math.factorial(final[j]) / math.factorial(base[j]))
+            for j, extra in add:
+                final[j] += extra
+                factor *= math.sqrt(math.factorial(final[j]) / math.factorial(base[j]))
             key = tuple(final)
             new_terms[key] = new_terms.get(key, 0.0j) + amp_eff * coeff * factor
     return FockState(modes, new_terms).prune()
@@ -201,10 +209,11 @@ def _pol_variants(state: FockState, spatial: str) -> list[Optional[str]]:
 def _spatial_map(state: FockState, pairs: Mapping[str, Sequence[tuple[str, complex]]]) -> FockState:
     """Lift a spatial-mode map to every polarization submode present."""
     mapping: dict[ModeId, list[tuple[ModeId, complex]]] = {}
+    present = set(state.modes)
     for src, outs in pairs.items():
         for pol in _pol_variants(state, src):
             key = ModeId(src, pol)
-            if key in state.modes:
+            if key in present:
                 mapping[key] = [(ModeId(dst, pol), c) for dst, c in outs]
     return _apply_linear_map(state, mapping) if mapping else state
 
@@ -237,6 +246,7 @@ def apply_pbs(state: FockState, in1: str, in2: str, out1: str, out2: str) -> Foc
     Photons must be expressed in the H/V basis.
     """
     mapping: dict[ModeId, list[tuple[ModeId, complex]]] = {}
+    present = set(state.modes)
     for src, t_out, r_out in ((in1, out2, out1), (in2, out1, out2)):
         for pol in _pol_variants(state, src):
             if pol is None:
@@ -244,7 +254,7 @@ def apply_pbs(state: FockState, in1: str, in2: str, out1: str, out2: str) -> Foc
             if pol not in _HV:
                 raise ValueError(f"PBS input {src} carries polarization {pol!r}; expected H/V")
             key = ModeId(src, pol)
-            if key in state.modes:
+            if key in present:
                 if pol == "H":
                     mapping[key] = [(ModeId(t_out, "H"), 1.0 + 0.0j)]
                 else:
@@ -270,9 +280,10 @@ def apply_rotation_45(state: FockState, spatial: str) -> FockState:
         raise ValueError(f"mode {spatial} mixes polarization bases: {pols}")
     s = 1.0 / math.sqrt(2.0)
     mapping = {}
+    present = set(state.modes)
     for pol in src:
         key = ModeId(spatial, pol)
-        if key in state.modes:
+        if key in present:
             mapping[key] = [(ModeId(spatial, dst[0]), s), (ModeId(spatial, dst[1]), s if pol == src[0] else -s)]
     return _apply_linear_map(state, mapping) if mapping else state
 
@@ -284,9 +295,10 @@ def apply_loss(state: FockState, spatial: str, transmission: float, tag: str = "
     t = math.sqrt(transmission)
     r = math.sqrt(1.0 - transmission)
     mapping: dict[ModeId, list[tuple[ModeId, complex]]] = {}
+    present = set(state.modes)
     for pol in _pol_variants(state, spatial):
         key = ModeId(spatial, pol)
-        if key in state.modes:
+        if key in present:
             mapping[key] = [(key, t + 0.0j), (ModeId(spatial, pol, sink=True, tag=tag), r + 0.0j)]
     return _apply_linear_map(state, mapping) if mapping else state
 
@@ -356,8 +368,9 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
     sinks = [sink(m.pol, k) for m in arm_modes for k in ("single", "pair")]
     state = state.ensure_modes(sinks)
     modes = state.modes
-    idx = {m: modes.index(m) for m in arm_modes}
-    sidx = {(m.pol, k): modes.index(sink(m.pol, k)) for m in arm_modes for k in ("single", "pair")}
+    index = {m: i for i, m in enumerate(modes)}
+    idx = {m: index[m] for m in arm_modes}
+    sidx = {(m.pol, k): index[sink(m.pol, k)] for m in arm_modes for k in ("single", "pair")}
 
     t1 = math.sqrt(1.0 - spec.tau1)
     t2 = math.sqrt(1.0 - spec.tau2)
@@ -470,13 +483,14 @@ def measure_all(state: FockState, detected: Sequence[ModeId], keep_posterior: bo
     modes projected out.
     """
     state = state.ensure_modes(detected)
-    det_idx = [state.modes.index(m) for m in detected]
-    rest_idx = [i for i in range(len(state.modes)) if i not in det_idx]
+    index = {m: i for i, m in enumerate(state.modes)}
+    det_idx = [index[m] for m in detected]
+    rest_idx = sorted(set(range(len(state.modes))) - set(det_idx))
     rest_modes = tuple(state.modes[i] for i in rest_idx)
     groups: dict[tuple, dict[tuple, complex]] = {}
     for occ, amp in state.terms.items():
-        key = tuple(occ[i] for i in det_idx)
-        groups.setdefault(key, {})[tuple(occ[i] for i in rest_idx)] = amp
+        key = tuple(map(occ.__getitem__, det_idx))
+        groups.setdefault(key, {})[tuple(map(occ.__getitem__, rest_idx))] = amp
     records = []
     for key in sorted(groups):
         sub = groups[key]

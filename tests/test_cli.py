@@ -180,12 +180,23 @@ class TestExitCodes:
             ["opt-phase", "--odb", "abc"],
             ["opt-phase", "--odb", "100", "--pde", "1.5"],
             ["circle", "--odb", "nan"],
+            ["sweep", "--phi", "0:pi:1000001"],
+            ["sweep", "--phi", "0:pi:1000000000"],
+            ["opt-phase", "--odb", "60:2000:1000001"],
+            ["opt-phase", "--odb", "60:2000:1000000000"],
         ],
     )
     def test_bad_value_is_one_line_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("nlrouter: error: ") and err.count("\n") == 1
+
+    def test_range_point_cap_is_inclusive(self):
+        grid = parse_phi_spec("0:pi:1000000")
+        assert (len(grid), grid[0], grid[-1]) == (1_000_000, 0.0, math.pi)
+        with pytest.raises(CliError, match="at most 1000000") as exc:
+            parse_phi_spec("0:pi:1000001")
+        assert exc.value.code == 1
 
 
 _SWEEP_VALUES = {

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nlrouter.fock import (
     FockState,
+    _apply_linear_map,
     ModeId,
     NonlinearMediumSpec,
     apply_beamsplitter,
@@ -62,6 +63,25 @@ class TestBeamsplitter:
         s = apply_beamsplitter(one_photon("c", "+"), None, "c", "f", "g")
         s = apply_beamsplitter(s, "g", "f", "w", "u")
         assert abs(amplitude(s, **{"u_+": 1}) - 1j) < TOL
+
+    @pytest.mark.parametrize("m,n", [(3, 0), (2, 1)])
+    def test_multi_photon_input_matches_binomial_expansion(self, m, n):
+        # a -> (d + i c)/sqrt2 and b -> (c + i d)/sqrt2 on creation operators,
+        # so |m,n> goes to sum over k + l = p of C(m,k) C(n,l) i^(k+n-l) times
+        # sqrt(p! q! / (m! n!)) / 2^((m+n)/2) on |p,q> with p + q = m + n
+        s = FockState.from_occupations({ModeId("a", "H"): m, ModeId("b", "H"): n})
+        s = apply_beamsplitter(s, "a", "b", "c", "d")
+        total = m + n
+        for p in range(total + 1):
+            q = total - p
+            ks = range(max(0, p - n), min(m, p) + 1)
+            coeff = sum(math.comb(m, k) * math.comb(n, p - k) * 1j ** (k + n - (p - k)) for k in ks)
+            norm = math.sqrt(math.factorial(p) * math.factorial(q) / (math.factorial(m) * math.factorial(n)))
+            expected = coeff * norm / 2 ** (total / 2)
+            labels = {label: count for label, count in (("c_H", p), ("d_H", q)) if count}
+            assert abs(amplitude(s, **labels) - expected) < TOL
+        assert len(s.terms) == total + 1
+        assert abs(s.norm_squared() - 1.0) < TOL
 
 
 class TestPolarizationOptics:
@@ -181,6 +201,14 @@ class TestStateAlgebra:
         with pytest.raises(ValueError, match="share modes"):
             one_photon("a", "H").tensor(one_photon("a", "H"))
 
+    def test_ensure_modes_appends_new_modes_once_in_listed_order(self):
+        ma, mb, mc, md = (ModeId(x, "H") for x in "abcd")
+        s = FockState((ma, mb), {(1, 0): 1.0})
+        grown = s.ensure_modes([mc, ma, md, mc])
+        assert grown.modes == (ma, mb, mc, md)
+        assert grown.terms == {(1, 0, 0, 0): 1.0}
+        assert s.ensure_modes([mb, ma]) is s
+
     def test_inner_alignment_is_registry_order_independent(self):
         m1, m2 = ModeId("a", "H"), ModeId("b", "V")
         s1 = FockState((m1, m2), {(1, 1): 1.0})
@@ -253,3 +281,56 @@ def test_loss_branch_phases_are_unobservable(phi1, phi2, tau):
     assert set(ref_probs) == set(out_probs)
     for k in ref_probs:
         assert abs(ref_probs[k] - out_probs[k]) < 1e-10
+
+
+def dense_linear_map(state, mapping):
+    """The linear map with a dense added-occupation polynomial and tuple.index
+    lookups, as the engine first computed it: the bit-exact reference."""
+    state = state.ensure_modes(list(mapping) + [t for outs in mapping.values() for t, _ in outs])
+    modes = state.modes
+    new_terms = {}
+    for occ, amp in state.terms.items():
+        base, amp_eff, powers = list(occ), amp, []
+        for m in mapping:
+            n = occ[modes.index(m)]
+            if n:
+                base[modes.index(m)] = 0
+                amp_eff /= math.sqrt(math.factorial(n))
+                powers.append((m, n))
+        if not powers:
+            new_terms[occ] = new_terms.get(occ, 0.0j) + amp
+            continue
+        poly = {(0,) * len(modes): 1.0 + 0.0j}
+        for m, n in powers:
+            for _ in range(n):
+                nxt = {}
+                for add, coeff in poly.items():
+                    for t, c in mapping[m]:
+                        j = modes.index(t)
+                        key = add[:j] + (add[j] + 1,) + add[j + 1 :]
+                        nxt[key] = nxt.get(key, 0.0j) + coeff * c
+                poly = nxt
+        for add, coeff in poly.items():
+            factor, final = 1.0, list(base)
+            for j, extra in enumerate(add):
+                if extra:
+                    final[j] += extra
+                    factor *= math.sqrt(math.factorial(final[j]) / math.factorial(base[j]))
+            key = tuple(final)
+            new_terms[key] = new_terms.get(key, 0.0j) + amp_eff * coeff * factor
+    return FockState(modes, new_terms).prune()
+
+
+_TARGETS = [ModeId("a", "+"), ModeId("a", "-"), ModeId("c", "+"), ModeId("d", "+"), ModeId("a", "+", sink=True, tag="x")]
+_outs = st.lists(st.tuples(st.sampled_from(_TARGETS), amps), min_size=1, max_size=3, unique_by=lambda t: t[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_two_mode_states(max_total=3), _outs, st.one_of(st.none(), _outs))
+def test_linear_map_is_bit_identical_to_dense_reference(state, outs_plus, outs_minus):
+    mapping = {ModeId("a", "+"): outs_plus}
+    if outs_minus is not None:
+        mapping[ModeId("a", "-")] = outs_minus
+    out, ref = _apply_linear_map(state, mapping), dense_linear_map(state, mapping)
+    assert out.modes == ref.modes
+    assert list(out.terms.items()) == list(ref.terms.items())

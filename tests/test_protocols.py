@@ -167,3 +167,31 @@ class TestBellStates:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown Bell state"):
             bell_state("chi_plus")
+
+
+class TestBitExactPins:
+    """``float.hex`` of simulator results at operating points the goldens miss.
+
+    The engine must keep its floating-point operations in order, so these
+    values may not move by a single ulp.
+    """
+
+    def test_detuned_bell_measurement(self):
+        r = run_bell_measurement(1.3, 120.0, 0.9, -1.3 / 11)
+        assert (r.p_success.hex(), r.total().hex()) == ("0x1.4742349dac5fdp-1", "0x1.ffffffffffff2p-1")
+
+    def test_lossless_evl_bell_measurement(self):
+        r = run_evl_bell_measurement(2.2, math.inf, 0.85)
+        assert (r.p_success.hex(), r.total().hex()) == ("0x1.08704bbb91381p-1", "0x1.fffffffffffedp-1")
+
+    def test_ghz_with_delay_loss(self):
+        r = run_ghz(PI / 3, 30.0, 0.98, delay_transmission=0.9)
+        assert (r.p_success.hex(), r.total().hex()) == ("0x1.e3f2b3f8189c0p-2", "0x1.ffffffffffff2p-1")
+
+    def test_single_photon_router(self):
+        probs = run_router(1.7, 30.0, n_photons=1, phi1=-1.7 / 11)
+        assert {port: p.hex() for port, p in probs.items()} == {
+            (0, 0): "0x1.a0c9e1c6548ffp-9",
+            (1, 0): "0x1.fe5f361e39ab2p-1",
+        }
+        assert sum(probs.values()).hex() == "0x1.ffffffffffffbp-1"
