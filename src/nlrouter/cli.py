@@ -22,7 +22,7 @@ from . import analytics, protocols
 from .rydberg import loss_from_phase
 
 USAGE_ERROR, NUMERICAL_ERROR, IO_ERROR = 1, 2, 3
-MAX_POINTS = 1_000_000  # per range, checked before the grid is built
+MAX_POINTS = 1_000_000  # per range and per sweep grid, checked before the grid is built
 
 ANGLE_GRAMMAR = """\
 angle grammar (BNF):
@@ -270,6 +270,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ods = _parse_float_list(args.odb) if args.odb is not None else [math.inf]
     pdes = _parse_float_list(args.pde) if args.pde is not None else [1.0]
     ratio = parse_pi_expr(args.phi1_ratio) if args.phi1_ratio is not None else 0.0
+    if len(phis) * len(ods) * len(pdes) > MAX_POINTS:
+        raise CliError(f"sweep grid has {len(phis) * len(ods) * len(pdes)} points; at most {MAX_POINTS} are allowed", USAGE_ERROR)
     if ratio != 0.0 and not PROTOCOL_TABLE[protocol].detunable:
         raise CliError(f"protocol {protocol!r} has no detuned variant; use --phi1-ratio 0", USAGE_ERROR)
     _check_operating_point(phis + [ratio * phi for phi in phis], ods, pdes)
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="protocol success probabilities over a grid", epilog=ANGLE_GRAMMAR, formatter_class=argparse.RawDescriptionHelpFormatter)
     sweep.add_argument("--protocol", choices=PROTOCOLS, help="protocol to sweep (default bm)")
-    sweep.add_argument("--phi", help="angle or start:stop:points range (default 0:pi:128)")
+    sweep.add_argument("--phi", help="angle or start:stop:points range (default 0:pi:128); the phi x odb x pde grid holds at most 1000000 points")
     sweep.add_argument("--odb", help="comma list of blockaded optical depths; inf allowed (default inf)")
     sweep.add_argument("--pde", help="comma list of detection efficiencies (default 1)")
     sweep.add_argument("--phi1-ratio", dest="phi1_ratio", help="single-photon detuning phase as a multiple of phi (default 0)")

@@ -7,14 +7,19 @@ normalized ket and total photon number is conserved exactly.
 
 The golden datasets pin the simulator's ``abs_delta`` column to the last
 ulp, so a change to this engine must keep every floating-point operation
-and its order (and the insertion order of every term dict) as it is.
+and its order (and the insertion order of every term dict) as it is.  Work
+that repeats is memoised instead: a linear map builds its added-photon
+polynomial once per occupation pattern of the modes it touches.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import reduce
+from operator import itemgetter, truediv
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "ModeId",
@@ -50,6 +55,15 @@ class ModeId:
     pol: Optional[str] = None
     sink: bool = False
     tag: str = ""
+
+    def __post_init__(self) -> None:  # the dataclass hash, computed once: registries are hashed per element
+        object.__setattr__(self, "_hash", hash((self.spatial, self.pol, self.sink, self.tag)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # rebuild through __init__: string hashes differ between processes
+        return ModeId, (self.spatial, self.pol, self.sink, self.tag)
 
     def label(self) -> str:
         base = self.spatial if self.pol is None else f"{self.spatial}_{self.pol}"
@@ -97,7 +111,10 @@ class FockState:
         return {sum(occ) for occ in self.terms}
 
     def prune(self, tol: float = PRUNE_TOL) -> "FockState":
-        return FockState(self.modes, {occ: a for occ, a in self.terms.items() if abs(a) > tol})
+        pruned = FockState(self.modes, self.terms)
+        for occ in [occ for occ, a in self.terms.items() if not abs(a) > tol]:
+            del pruned.terms[occ]
+        return pruned
 
     def scaled(self, factor: complex) -> "FockState":
         return FockState(self.modes, {occ: a * factor for occ, a in self.terms.items()})
@@ -146,6 +163,46 @@ class FockState:
 # ------------------------------------------------------------------ channels
 
 
+def _projector(idx: Sequence[int]) -> Callable[[tuple], tuple]:
+    """C-level ``tuple(occ[i] for i in idx)``: itemgetter, or a slice for 0 or 1 index."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
+
+
+def _linear_plan(local: tuple, mapped: list[tuple[int, list[tuple[int, complex]]]], touched: list[int]) -> tuple[list, list]:
+    """The map of every term whose ``touched`` entries (ascending) read ``local``: the ``sqrt(n!)``
+    divisors, and per added-photon monomial its ``(index, count)`` changes, coefficient and factor."""
+    base = list(local)
+    divisors = []
+    # polynomial over added photons: sorted ((target, count), ...) -> coeff;
+    # the keys are canonical, so they merge and iterate as dense occupation tuples would
+    poly: dict[tuple[tuple[int, int], ...], complex] = {(): 1.0 + 0.0j}
+    for i, outs in mapped:
+        n = local[i]
+        if n:
+            base[i] = 0
+            divisors.append(math.sqrt(math.factorial(n)))
+            for _ in range(n):
+                nxt: dict[tuple[tuple[int, int], ...], complex] = {}
+                for add, coeff in poly.items():
+                    for j, c in outs:
+                        counts = dict(add)
+                        counts[j] = counts.get(j, 0) + 1
+                        key = tuple(sorted(counts.items()))
+                        nxt[key] = nxt.get(key, 0.0j) + coeff * c
+                poly = nxt
+    monomials = []
+    for add, coeff in poly.items():
+        factor = 1.0
+        final = list(base)
+        for j, extra in add:
+            final[j] += extra
+            factor *= math.sqrt(math.factorial(final[j]) / math.factorial(base[j]))
+        monomials.append(([(touched[k], n) for k, n in enumerate(final) if n != local[k]], coeff, factor))
+    return divisors, monomials
+
+
 def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[ModeId, complex]]]) -> FockState:
     """Apply a (partial-isometry) linear map on creation operators.
 
@@ -157,40 +214,23 @@ def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[
     state = state.ensure_modes(list(mapping) + targets)
     modes = state.modes
     index = {m: i for i, m in enumerate(modes)}
-    mapped = [(index[m], [(index[t], c) for t, c in outs]) for m, outs in mapping.items()]
+    touched = sorted({index[m] for m in mapping} | {index[t] for t in targets})
+    pos = {modes[i]: k for k, i in enumerate(touched)}
+    mapped = [(pos[m], [(pos[t], c) for t, c in outs]) for m, outs in mapping.items()]
+    project = _projector(touched)
+    plans: dict[tuple, tuple[list, list]] = {}
     new_terms: dict[tuple, complex] = {}
     for occ, amp in state.terms.items():
-        base = list(occ)
-        amp_eff = amp
-        powers: list[tuple[list[tuple[int, complex]], int]] = []
-        for i, outs in mapped:
-            n = occ[i]
-            if n:
-                base[i] = 0
-                amp_eff /= math.sqrt(math.factorial(n))
-                powers.append((outs, n))
-        if not powers:
+        local = project(occ)
+        divisors, monomials = plans.get(local) or plans.setdefault(local, _linear_plan(local, mapped, touched))
+        if not divisors:
             new_terms[occ] = new_terms.get(occ, 0.0j) + amp
             continue
-        # polynomial over added photons: sorted ((target index, count), ...) -> coeff;
-        # the keys are canonical, so they merge and iterate as dense occupation tuples would
-        poly: dict[tuple[tuple[int, int], ...], complex] = {(): 1.0 + 0.0j}
-        for outs, n in powers:
-            for _ in range(n):
-                nxt: dict[tuple[tuple[int, int], ...], complex] = {}
-                for add, coeff in poly.items():
-                    for j, c in outs:
-                        counts = dict(add)
-                        counts[j] = counts.get(j, 0) + 1
-                        key = tuple(sorted(counts.items()))
-                        nxt[key] = nxt.get(key, 0.0j) + coeff * c
-                poly = nxt
-        for add, coeff in poly.items():
-            factor = 1.0
-            final = list(base)
-            for j, extra in add:
-                final[j] += extra
-                factor *= math.sqrt(math.factorial(final[j]) / math.factorial(base[j]))
+        amp_eff = reduce(truediv, divisors, amp)  # amp / d1 / d2 ..., in order
+        for changes, coeff, factor in monomials:
+            final = list(occ)
+            for j, n in changes:
+                final[j] = n
             key = tuple(final)
             new_terms[key] = new_terms.get(key, 0.0j) + amp_eff * coeff * factor
     return FockState(modes, new_terms).prune()
@@ -201,7 +241,7 @@ def _pol_variants(state: FockState, spatial: str) -> list[Optional[str]]:
     pols = set()
     for i, m in enumerate(state.modes):
         if m.spatial == spatial and not m.sink:
-            if any(occ[i] for occ in state.terms):
+            if any(map(itemgetter(i), state.terms)):
                 pols.add(m.pol)
     return sorted(pols, key=str) or [None]
 
@@ -423,21 +463,17 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
                 # two distinguishable-polarization photons, self-phase only:
                 # each passes the single-photon channel independently
                 (ma, _), (mb, _) = occupied
-                branches = [((1, 1), amp * (t1 * e1) ** 2)]
-                for keep, lose in ((ma, mb), (mb, ma)):
+                put(occ, amp * (t1 * e1) ** 2)
+                for lose in (mb, ma):
                     lost = list(occ)
                     lost[idx[lose]] = 0
                     lost[sidx[(lose.pol, "single")]] += 1
-                    branches.append((tuple(lost), amp * t1 * e1 * r1))
+                    put(tuple(lost), amp * t1 * e1 * r1)
                 both = list(occ)
                 both[idx[ma]] = both[idx[mb]] = 0
                 both[sidx[(ma.pol, "single")]] += 1
                 both[sidx[(mb.pol, "single")]] += 1
-                branches.append((tuple(both), amp * r1 * r1))
-                first = branches.pop(0)
-                put(occ, first[1])
-                for key, a in branches:
-                    put(tuple(key), a)
+                put(tuple(both), amp * r1 * r1)
         else:
             raise ValueError(f"nonlinear medium supports at most 2 photons per arm, got {n}")
     return FockState(modes, new_terms).prune()
@@ -478,28 +514,29 @@ class OutcomeRecord:
 def measure_all(state: FockState, detected: Sequence[ModeId], keep_posterior: bool = False) -> list[OutcomeRecord]:
     """Enumerate photon-number patterns over the detected modes.
 
-    Undetected modes (including every sink) are marginalized; the posterior,
-    when requested, is the renormalized conditional state with the detected
-    modes projected out.
+    Undetected modes (including every sink) are marginalized.  Posteriors
+    are built only on request (``keep_posterior``): each is the renormalized
+    conditional state with the detected modes projected out.
     """
     state = state.ensure_modes(detected)
     index = {m: i for i, m in enumerate(state.modes)}
     det_idx = [index[m] for m in detected]
-    rest_idx = sorted(set(range(len(state.modes))) - set(det_idx))
-    rest_modes = tuple(state.modes[i] for i in rest_idx)
-    groups: dict[tuple, dict[tuple, complex]] = {}
+    project = _projector(det_idx)
+    groups: dict[tuple, list[complex]] = defaultdict(list)
     for occ, amp in state.terms.items():
-        key = tuple(map(occ.__getitem__, det_idx))
-        groups.setdefault(key, {})[tuple(map(occ.__getitem__, rest_idx))] = amp
+        groups[project(occ)].append(amp)
+    if keep_posterior:
+        rest_idx = sorted(set(range(len(state.modes))) - set(det_idx))
+        rest_modes, rest = tuple(state.modes[i] for i in rest_idx), _projector(rest_idx)
+        posts: dict[tuple, dict[tuple, complex]] = defaultdict(dict)
+        for occ, amp in state.terms.items():
+            posts[project(occ)][rest(occ)] = amp
     records = []
     for key in sorted(groups):
-        sub = groups[key]
-        prob = sum(abs(a) ** 2 for a in sub.values())
-        pattern = tuple(
-            (m.label(), n) for m, n in zip(detected, key) if n
-        )
+        prob = sum(abs(a) ** 2 for a in groups[key])
+        pattern = tuple((m.label(), n) for m, n in zip(detected, key) if n)
         post = None
         if keep_posterior and prob > 0.0:
-            post = FockState(rest_modes, sub).scaled(1.0 / math.sqrt(prob))
+            post = FockState(rest_modes, posts[key]).scaled(1.0 / math.sqrt(prob))
         records.append(OutcomeRecord(pattern=pattern, probability=prob, posterior=post))
     return records

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlrouter import cli
 from nlrouter.cli import CliError, main, parse_phi_spec, parse_pi_expr
 
 
@@ -184,12 +185,22 @@ class TestExitCodes:
             ["sweep", "--phi", "0:pi:1000000000"],
             ["opt-phase", "--odb", "60:2000:1000001"],
             ["opt-phase", "--odb", "60:2000:1000000000"],
+            ["sweep", "--phi", "0:pi:1000000", "--odb", "30,60"],
         ],
     )
     def test_bad_value_is_one_line_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("nlrouter: error: ") and err.count("\n") == 1
+
+    def test_sweep_grid_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_POINTS", 6)
+        code, out, err = run_cli(capsys, "sweep", "--phi", "0:pi:3", "--odb", "30,60", "--pde", "0.98")
+        assert (code, err) == (0, "")
+        assert len([line for line in out.splitlines() if not line.startswith("#")]) == 1 + 6
+        code, out, err = run_cli(capsys, "sweep", "--phi", "0:pi:3", "--odb", "30,60", "--pde", "0.9,1")
+        assert (code, out) == (1, "")
+        assert err == "nlrouter: error: sweep grid has 12 points; at most 6 are allowed\n"
 
     def test_range_point_cap_is_inclusive(self):
         grid = parse_phi_spec("0:pi:1000000")

@@ -1,13 +1,20 @@
 """Element-level tests for the sparse Fock engine."""
 
+import copy
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlrouter.fock import (
     FockState,
+    OutcomeRecord,
     _apply_linear_map,
     ModeId,
     NonlinearMediumSpec,
@@ -209,6 +216,14 @@ class TestStateAlgebra:
         assert grown.terms == {(1, 0, 0, 0): 1.0}
         assert s.ensure_modes([mb, ma]) is s
 
+    def test_prune_drops_small_terms_and_keeps_the_order_of_the_rest(self):
+        ma, mb = ModeId("a", "H"), ModeId("b", "H")
+        terms = {(2, 0): 0.5, (0, 0): 1e-16, (0, 2): -0.5j, (1, 1): 0.0, (1, 0): 1e-15, (0, 1): 2e-15}
+        s = FockState((ma, mb), terms)
+        pruned = s.prune()
+        assert list(pruned.terms.items()) == [((2, 0), 0.5), ((0, 2), -0.5j), ((0, 1), 2e-15)]
+        assert list(s.terms.items()) == list(terms.items())  # the input state is left as it was
+
     def test_inner_alignment_is_registry_order_independent(self):
         m1, m2 = ModeId("a", "H"), ModeId("b", "V")
         s1 = FockState((m1, m2), {(1, 1): 1.0})
@@ -334,3 +349,105 @@ def test_linear_map_is_bit_identical_to_dense_reference(state, outs_plus, outs_m
     out, ref = _apply_linear_map(state, mapping), dense_linear_map(state, mapping)
     assert out.modes == ref.modes
     assert list(out.terms.items()) == list(ref.terms.items())
+
+
+class TestModeIdHash:
+    MODES = [ModeId("a", "H"), ModeId("a", "V"), ModeId("a", "H", sink=True, tag="undet"), ModeId("f", "+", True, "pair"), ModeId("b", None)]
+
+    def test_hash_is_the_dataclass_field_tuple_hash(self):
+        for m in self.MODES:
+            assert hash(m) == hash((m.spatial, m.pol, m.sink, m.tag))
+
+    def test_equality_and_ordering_follow_the_fields(self):
+        assert ModeId("a", "H") == ModeId("a", "H") and ModeId("a", "H") != ModeId("a", "H", sink=True)
+        assert len({ModeId("a", "H"), ModeId("a", "H"), ModeId("a", "V")}) == 2
+        with_pol = self.MODES[:4]
+        assert sorted(with_pol) == sorted(with_pol, key=lambda m: (m.spatial, m.pol, m.sink, m.tag))
+        assert ModeId("a", "H") < ModeId("a", "H", sink=True) < ModeId("a", "V")
+
+    def test_hash_survives_deepcopy(self):
+        for m in self.MODES:
+            twin = copy.deepcopy(m)
+            assert twin == m and hash(twin) == hash(m) and twin in {m}
+
+    def test_hash_is_recomputed_after_a_pickle_from_another_process(self):
+        # string hashes are salted per process: a hash carried inside the
+        # pickle would be wrong here, so ModeId must rebuild on load
+        seed = os.environ.get("PYTHONHASHSEED", "")
+        child_seed = str(int(seed) + 1) if seed.isdigit() else "1"
+        src = str(Path(__import__("nlrouter").__file__).resolve().parents[1])
+        code = (
+            "import pickle, sys; from nlrouter.fock import ModeId; "
+            f"modes = {self.MODES!r}; "
+            "sys.stdout.buffer.write(pickle.dumps((modes, [hash(m) for m in modes])))"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=child_seed, PYTHONPATH=src)
+        blob = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True).stdout
+        modes, child_hashes = pickle.loads(blob)
+        assert modes == self.MODES
+        assert child_hashes != [hash(m) for m in self.MODES]  # the two processes salt differently
+        for m in modes:
+            assert hash(m) == hash((m.spatial, m.pol, m.sink, m.tag))
+        assert set(modes) == set(self.MODES)
+
+
+def reference_measure_all(state, detected, keep_posterior=False):
+    """measure_all as it stood before posteriors became opt-in work: the
+    bit-exact reference for patterns, probabilities and posteriors."""
+    state = state.ensure_modes(detected)
+    index = {m: i for i, m in enumerate(state.modes)}
+    det_idx = [index[m] for m in detected]
+    rest_idx = sorted(set(range(len(state.modes))) - set(det_idx))
+    rest_modes = tuple(state.modes[i] for i in rest_idx)
+    groups = {}
+    for occ, amp in state.terms.items():
+        key = tuple(map(occ.__getitem__, det_idx))
+        groups.setdefault(key, {})[tuple(map(occ.__getitem__, rest_idx))] = amp
+    records = []
+    for key in sorted(groups):
+        sub = groups[key]
+        prob = sum(abs(a) ** 2 for a in sub.values())
+        pattern = tuple((m.label(), n) for m, n in zip(detected, key) if n)
+        post = None
+        if keep_posterior and prob > 0.0:
+            post = FockState(rest_modes, sub).scaled(1.0 / math.sqrt(prob))
+        records.append(OutcomeRecord(pattern=pattern, probability=prob, posterior=post))
+    return records
+
+
+_POOL = [ModeId("u", "H"), ModeId("u", "V"), ModeId("w", "+"), ModeId("u", "H", sink=True, tag="undet"), ModeId("p", "-")]
+_ABSENT = [ModeId("z", "H"), ModeId("q", "V")]  # never in a drawn registry
+
+
+@st.composite
+def few_photon_states(draw, max_total=4):
+    modes = draw(st.permutations(_POOL).flatmap(lambda p: st.integers(1, len(p)).map(lambda k: tuple(p[:k]))))
+    occ = st.lists(st.integers(0, max_total), min_size=len(modes), max_size=len(modes)).map(tuple)
+    occs = draw(st.lists(occ.filter(lambda o: sum(o) <= max_total), min_size=1, max_size=12, unique=True))
+    return FockState(modes, {o: draw(amps) for o in occs})
+
+
+# itemgetter edge cases, always run: no detected mode (one pattern), one
+# detected mode, and several including one not yet in the registry
+_EDGE = FockState(_POOL[:4], {(1, 0, 1, 0): 0.6, (0, 2, 0, 0): 0.64j, (1, 1, 0, 1): -0.48, (0, 0, 0, 2): 0.0})
+_EDGE_DETECTED = ([], [_POOL[1]], [_POOL[1], _ABSENT[0], _POOL[0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(few_photon_states(), st.lists(st.sampled_from(_POOL + _ABSENT), max_size=4, unique=True), st.booleans())
+@example(_EDGE, _EDGE_DETECTED[0], False)
+@example(_EDGE, _EDGE_DETECTED[0], True)
+@example(_EDGE, _EDGE_DETECTED[1], False)
+@example(_EDGE, _EDGE_DETECTED[1], True)
+@example(_EDGE, _EDGE_DETECTED[2], False)
+@example(_EDGE, _EDGE_DETECTED[2], True)
+def test_measure_all_is_bit_identical_to_reference(state, detected, keep_posterior):
+    out = measure_all(state, detected, keep_posterior)
+    ref = reference_measure_all(state, detected, keep_posterior)
+    assert [r.pattern for r in out] == [r.pattern for r in ref]
+    assert [r.probability.hex() for r in out] == [r.probability.hex() for r in ref]
+    for o, r in zip(out, ref):
+        assert (o.posterior is None) == (r.posterior is None)
+        if r.posterior is not None:
+            assert o.posterior.modes == r.posterior.modes
+            assert list(o.posterior.terms.items()) == list(r.posterior.terms.items())
