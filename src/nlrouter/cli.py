@@ -291,15 +291,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_circle(args: argparse.Namespace) -> int:
     ods = _parse_float_list(args.odb) if args.odb is not None else [3.5, 8.0]
     _check_operating_point([], ods, [])
+    if not all(map(math.isfinite, ods)):
+        raise CliError("circle output needs a finite od_b", USAGE_ERROR)
     points = args.points
     if points < 2:
         raise CliError("--points must be >= 2", USAGE_ERROR)
+    if points * len(ods) > MAX_POINTS:
+        raise CliError(f"circle grid has {points * len(ods)} points; at most {MAX_POINTS} are allowed", USAGE_ERROR)
 
     def emit(fh: TextIO) -> None:
         fh.write("phi,od_b,branch,eps,tau\n")
         for od in ods:
-            if math.isinf(od):
-                raise CliError("circle output needs a finite od_b", USAGE_ERROR)
             radius = od / 4.0
             for branch in ("lower", "upper"):
                 for i in range(points):
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     circle = sub.add_parser("circle", help="phase-loss circle for given optical depths")
     circle.add_argument("--odb", help="comma list of blockaded optical depths (default 3.5,8)")
-    circle.add_argument("--points", type=int, default=101, help="samples per branch (default 101)")
+    circle.add_argument("--points", type=int, default=101, help="samples per branch (default 101); points x odb values at most 1000000")
     circle.add_argument("--out", help="output path (default stdout)")
     circle.set_defaults(func=cmd_circle)
 

@@ -8,8 +8,15 @@ normalized ket and total photon number is conserved exactly.
 The golden datasets pin the simulator's ``abs_delta`` column to the last
 ulp, so a change to this engine must keep every floating-point operation
 and its order (and the insertion order of every term dict) as it is.  Work
-that repeats is memoised instead: a linear map builds its added-photon
-polynomial once per occupation pattern of the modes it touches.
+that repeats is memoised instead.  Each element's layout (the grown
+registry, the positions it reads and writes, its projectors) is built once
+per circuit shape: one module-level table keys it by the registry and the
+element's structure (a linear map's source and target modes, a medium's arm
+and basis, the detected modes), never by coefficients, so every operating
+point of a sweep shares one entry.  The table is cleared past
+``_LAYOUT_LIMIT`` entries, which bounds its memory.  A linear map's layout
+also holds its added-photon plans, one per occupation pattern of the
+touched modes, for the last coefficient vector it saw.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter, truediv
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 __all__ = [
     "ModeId",
@@ -42,28 +49,25 @@ _HV = ("H", "V")
 _DIAG = ("+", "-")
 
 
-@dataclass(frozen=True, order=True)
-class ModeId:
+def _padded(terms: dict[tuple, complex], pad: tuple) -> dict[tuple, complex]:
+    """``terms`` with each occupation tuple extended by ``pad`` (zeros for newly added modes)."""
+    return {occ + pad: a for occ, a in terms.items()} if pad else terms
+
+
+class ModeId(NamedTuple):
     """A single bosonic mode: spatial label, optional polarization, sink flag.
 
     Sink modes hold photons that left the computational path (medium
     absorption, detector inefficiency).  ``tag`` distinguishes physically
-    orthogonal absorption events so loss branches never interfere.
+    orthogonal absorption events so loss branches never interfere.  As a
+    named tuple it hashes, compares and orders by its fields in C: every
+    element hashes the whole registry.
     """
 
     spatial: str
     pol: Optional[str] = None
     sink: bool = False
     tag: str = ""
-
-    def __post_init__(self) -> None:  # the dataclass hash, computed once: registries are hashed per element
-        object.__setattr__(self, "_hash", hash((self.spatial, self.pol, self.sink, self.tag)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):  # rebuild through __init__: string hashes differ between processes
-        return ModeId, (self.spatial, self.pol, self.sink, self.tag)
 
     def label(self) -> str:
         base = self.spatial if self.pol is None else f"{self.spatial}_{self.pol}"
@@ -99,9 +103,7 @@ class FockState:
         missing = list(dict.fromkeys(m for m in new_modes if m not in have))
         if not missing:
             return self
-        modes = self.modes + tuple(missing)
-        pad = (0,) * len(missing)
-        return FockState(modes, {occ + pad: a for occ, a in self.terms.items()})
+        return FockState(self.modes + tuple(missing), _padded(self.terms, (0,) * len(missing)))
 
     def norm_squared(self) -> float:
         return sum((a.real * a.real + a.imag * a.imag) for a in self.terms.values())
@@ -203,6 +205,43 @@ def _linear_plan(local: tuple, mapped: list[tuple[int, list[tuple[int, complex]]
     return divisors, monomials
 
 
+# The layout table (see the module docstring).  Keys never hold coefficients:
+# a random p_de per call would make a new entry per call.
+_LAYOUT_LIMIT = 4096
+_LAYOUTS: dict[tuple, object] = {}
+
+
+def _layout(build: Callable, *shape):
+    """``build(*shape)``, made once per shape: a registry and an element's structure."""
+    key = (build, *shape)
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        if len(_LAYOUTS) >= _LAYOUT_LIMIT:
+            _LAYOUTS.clear()
+        layout = _LAYOUTS[key] = build(*shape)
+    return layout
+
+
+class _LinearLayout:
+    """A linear map of one structure on one registry; ``plans`` holds for one coefficient vector."""
+
+    __slots__ = ("modes", "pad", "touched", "shape", "project", "plans")
+
+    def __init__(self, modes: tuple[ModeId, ...], structure: tuple[tuple[ModeId, tuple[ModeId, ...]], ...]):
+        sources = [m for m, _ in structure]
+        targets = [t for _, outs in structure for t in outs]
+        self.modes = FockState(modes).ensure_modes(sources + targets).modes
+        self.pad = (0,) * (len(self.modes) - len(modes))
+        index = {m: i for i, m in enumerate(self.modes)}
+        self.touched = sorted({index[m] for m in sources} | {index[t] for t in targets})
+        pos = {self.modes[i]: k for k, i in enumerate(self.touched)}
+        self.shape = [(pos[m], [pos[t] for t in outs]) for m, outs in structure]
+        self.project = _projector(self.touched)
+        # (coefficients, mapped, {local pattern: plan}), replaced whole so that a
+        # call never reads plans made for other coefficients
+        self.plans: tuple[tuple, list, dict] = ((), [], {})
+
+
 def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[ModeId, complex]]]) -> FockState:
     """Apply a (partial-isometry) linear map on creation operators.
 
@@ -210,17 +249,19 @@ def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[
     operators; occupation factorials are handled so normalized kets map to
     normalized kets whenever the single-photon matrix is an isometry.
     """
-    targets = [m for outs in mapping.values() for m, _ in outs]
-    state = state.ensure_modes(list(mapping) + targets)
-    modes = state.modes
-    index = {m: i for i, m in enumerate(modes)}
-    touched = sorted({index[m] for m in mapping} | {index[t] for t in targets})
-    pos = {modes[i]: k for k, i in enumerate(touched)}
-    mapped = [(pos[m], [(pos[t], c) for t, c in outs]) for m, outs in mapping.items()]
-    project = _projector(touched)
-    plans: dict[tuple, tuple[list, list]] = {}
+    layout = _layout(_LinearLayout, state.modes, tuple((m, tuple(t for t, _ in outs)) for m, outs in mapping.items()))
+    coeffs = tuple(c for outs in mapping.values() for _, c in outs)
+    known, mapped, plans = layout.plans
+    # a plan's coefficients are sums that start at 0.0j, so coefficients equal
+    # under == (0.0 and -0.0 alike) give bit-identical plans
+    if known != coeffs:
+        mapped = [(i, [(j, c) for j, (_, c) in zip(js, outs)]) for (i, js), outs in zip(layout.shape, mapping.values())]
+        plans = {}
+        layout.plans = (coeffs, mapped, plans)
+    terms = _padded(state.terms, layout.pad)
+    project, touched = layout.project, layout.touched
     new_terms: dict[tuple, complex] = {}
-    for occ, amp in state.terms.items():
+    for occ, amp in terms.items():
         local = project(occ)
         divisors, monomials = plans.get(local) or plans.setdefault(local, _linear_plan(local, mapped, touched))
         if not divisors:
@@ -233,16 +274,17 @@ def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[
                 final[j] = n
             key = tuple(final)
             new_terms[key] = new_terms.get(key, 0.0j) + amp_eff * coeff * factor
-    return FockState(modes, new_terms).prune()
+    return FockState(layout.modes, new_terms).prune()
+
+
+def _spatial_columns(modes: tuple[ModeId, ...], spatial: str) -> list[tuple[Optional[str], Callable]]:
+    return [(m.pol, itemgetter(i)) for i, m in enumerate(modes) if m.spatial == spatial and not m.sink]
 
 
 def _pol_variants(state: FockState, spatial: str) -> list[Optional[str]]:
     """Polarizations with actual photon support in ``spatial`` (sinks excluded)."""
-    pols = set()
-    for i, m in enumerate(state.modes):
-        if m.spatial == spatial and not m.sink:
-            if any(map(itemgetter(i), state.terms)):
-                pols.add(m.pol)
+    columns = _layout(_spatial_columns, state.modes, spatial)
+    pols = {pol for pol, column in columns if any(map(column, state.terms))}
     return sorted(pols, key=str) or [None]
 
 
@@ -379,6 +421,27 @@ def _basis_pols(basis: str) -> tuple[str, ...]:
     raise ValueError(f"unknown interaction basis {basis!r}")
 
 
+class _MediumLayout:
+    """The arm's modes and their sink modes (grown into the registry) for one registry and basis."""
+
+    __slots__ = ("modes", "pad", "idx", "sidx")
+
+    def __init__(self, modes: tuple[ModeId, ...], arm: str, basis: str):
+        allowed = _basis_pols(basis)
+        arm_modes = [m for m in modes if m.spatial == arm and not m.sink]
+        for m in arm_modes:
+            if m.pol is not None and m.pol not in allowed:
+                raise ValueError(
+                    f"arm {arm} photon polarization {m.pol!r} is not in the medium's {basis} interaction basis"
+                )
+        sinks = {(m.pol, k): ModeId(arm, m.pol, sink=True, tag=k) for m in arm_modes for k in ("single", "pair")}
+        self.modes = FockState(modes).ensure_modes(sinks.values()).modes
+        self.pad = (0,) * (len(self.modes) - len(modes))
+        index = {m: i for i, m in enumerate(self.modes)}
+        self.idx = {m: index[m] for m in arm_modes}
+        self.sidx = {key: index[m] for key, m in sinks.items()}
+
+
 def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec, sign: int = 1) -> FockState:
     """Send one interferometer arm through the nonlinear medium.
 
@@ -391,26 +454,11 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
     """
     if sign not in (-1, 1):
         raise ValueError("arm phase sign must be +1 or -1")
-    allowed = _basis_pols(spec.interaction_basis)
-    arm_modes = [m for m in state.modes if m.spatial == arm and not m.sink]
-    for m in arm_modes:
-        if m.pol is not None and m.pol not in allowed:
-            raise ValueError(
-                f"arm {arm} photon polarization {m.pol!r} is not in the medium's "
-                f"{spec.interaction_basis} interaction basis"
-            )
-    if not arm_modes:
+    layout = _layout(_MediumLayout, state.modes, arm, spec.interaction_basis)
+    if not layout.idx:
         return state
-
-    def sink(pol: Optional[str], kind: str) -> ModeId:
-        return ModeId(arm, pol, sink=True, tag=kind)
-
-    sinks = [sink(m.pol, k) for m in arm_modes for k in ("single", "pair")]
-    state = state.ensure_modes(sinks)
-    modes = state.modes
-    index = {m: i for i, m in enumerate(modes)}
-    idx = {m: index[m] for m in arm_modes}
-    sidx = {(m.pol, k): index[sink(m.pol, k)] for m in arm_modes for k in ("single", "pair")}
+    idx, sidx = layout.idx, layout.sidx
+    terms = _padded(state.terms, layout.pad)
 
     t1 = math.sqrt(1.0 - spec.tau1)
     t2 = math.sqrt(1.0 - spec.tau2)
@@ -425,7 +473,7 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
         if amp != 0.0:
             new_terms[occ] = new_terms.get(occ, 0.0j) + amp
 
-    for occ, amp in state.terms.items():
+    for occ, amp in terms.items():
         occupied = [(m, occ[i]) for m, i in idx.items() if occ[i]]
         n = sum(c for _, c in occupied)
         if n == 0:
@@ -476,7 +524,7 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
                 put(tuple(both), amp * r1 * r1)
         else:
             raise ValueError(f"nonlinear medium supports at most 2 photons per arm, got {n}")
-    return FockState(modes, new_terms).prune()
+    return FockState(layout.modes, new_terms).prune()
 
 
 def apply_detector_efficiency(state: FockState, spatials: Sequence[str], p_de: float) -> FockState:
@@ -511,6 +559,23 @@ class OutcomeRecord:
         return sum(n for _, n in self.pattern)
 
 
+class _MeasureLayout:
+    """Projections of one registry onto one detected-mode list, and each projected key's pattern."""
+
+    __slots__ = ("modes", "pad", "project", "labels", "patterns", "rest_modes", "rest")
+
+    def __init__(self, modes: tuple[ModeId, ...], detected: tuple[ModeId, ...]):
+        self.modes = FockState(modes).ensure_modes(detected).modes
+        self.pad = (0,) * (len(self.modes) - len(modes))
+        index = {m: i for i, m in enumerate(self.modes)}
+        det_idx = [index[m] for m in detected]
+        self.project = _projector(det_idx)
+        self.labels = [m.label() for m in detected]
+        self.patterns: dict[tuple, tuple[tuple[str, int], ...]] = {}
+        rest_idx = sorted(set(range(len(self.modes))) - set(det_idx))
+        self.rest_modes, self.rest = tuple(self.modes[i] for i in rest_idx), _projector(rest_idx)
+
+
 def measure_all(state: FockState, detected: Sequence[ModeId], keep_posterior: bool = False) -> list[OutcomeRecord]:
     """Enumerate photon-number patterns over the detected modes.
 
@@ -518,25 +583,26 @@ def measure_all(state: FockState, detected: Sequence[ModeId], keep_posterior: bo
     are built only on request (``keep_posterior``): each is the renormalized
     conditional state with the detected modes projected out.
     """
-    state = state.ensure_modes(detected)
-    index = {m: i for i, m in enumerate(state.modes)}
-    det_idx = [index[m] for m in detected]
-    project = _projector(det_idx)
+    layout = _layout(_MeasureLayout, state.modes, tuple(detected))
+    terms = _padded(state.terms, layout.pad)
+    project = layout.project
     groups: dict[tuple, list[complex]] = defaultdict(list)
-    for occ, amp in state.terms.items():
+    for occ, amp in terms.items():
         groups[project(occ)].append(amp)
     if keep_posterior:
-        rest_idx = sorted(set(range(len(state.modes))) - set(det_idx))
-        rest_modes, rest = tuple(state.modes[i] for i in rest_idx), _projector(rest_idx)
+        rest = layout.rest
         posts: dict[tuple, dict[tuple, complex]] = defaultdict(dict)
-        for occ, amp in state.terms.items():
+        for occ, amp in terms.items():
             posts[project(occ)][rest(occ)] = amp
     records = []
+    patterns = layout.patterns
     for key in sorted(groups):
         prob = sum(abs(a) ** 2 for a in groups[key])
-        pattern = tuple((m.label(), n) for m, n in zip(detected, key) if n)
+        pattern = patterns.get(key)
+        if pattern is None:
+            pattern = patterns[key] = tuple((label, n) for label, n in zip(layout.labels, key) if n)
         post = None
         if keep_posterior and prob > 0.0:
-            post = FockState(rest_modes, posts[key]).scaled(1.0 / math.sqrt(prob))
+            post = FockState(layout.rest_modes, posts[key]).scaled(1.0 / math.sqrt(prob))
         records.append(OutcomeRecord(pattern=pattern, probability=prob, posterior=post))
     return records

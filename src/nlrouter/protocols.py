@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .fock import (
@@ -198,10 +199,15 @@ def _port_counts(pattern: tuple[tuple[str, int], ...]) -> dict[str, int]:
     return counts
 
 
-def _split_ancilla(pattern: tuple[tuple[str, int], ...]) -> tuple[tuple, int]:
+# Detection patterns repeat from call to call (measure_all hands out the same
+# pattern tuples), so splitting off the ancilla is memoised; the bound keeps
+# memory flat.
+@lru_cache(maxsize=4096)
+def _split_ancilla(pattern: tuple[tuple[str, int], ...]) -> tuple[tuple, int, int]:
+    """The pattern without ancilla clicks, its click count, and the ancilla's click count."""
     main = tuple(item for item in pattern if not item[0].startswith("anc"))
     anc_clicks = sum(n for label, n in pattern if label.startswith("anc"))
-    return main, anc_clicks
+    return main, sum(n for _, n in main), anc_clicks
 
 
 def _decision_table(
@@ -247,8 +253,7 @@ def _classify_bm(
     succ = fp = herald = 0.0
     outcomes = []
     for rec in records:
-        main, anc_clicks = _split_ancilla(rec.pattern)
-        main_clicks = sum(n for _, n in main)
+        main, main_clicks, anc_clicks = _split_ancilla(rec.pattern)
         verdict = table.get(main) if main_clicks == 2 else None
         if ancilla and anc_clicks != 2:
             verdict = None
@@ -331,7 +336,7 @@ def run_evl_bell_measurement(
     for s, recs in records.items():
         dist: dict[tuple, float] = {}
         for r in recs:
-            main, anc_clicks = _split_ancilla(r.pattern)
+            main, _, anc_clicks = _split_ancilla(r.pattern)
             if anc_clicks == 2:
                 dist[main] = dist.get(main, 0.0) + r.probability
         dists[s] = dist

@@ -186,6 +186,10 @@ class TestExitCodes:
             ["opt-phase", "--odb", "60:2000:1000001"],
             ["opt-phase", "--odb", "60:2000:1000000000"],
             ["sweep", "--phi", "0:pi:1000000", "--odb", "30,60"],
+            ["circle", "--odb", "3.5,inf"],
+            ["circle", "--odb", "inf,3.5"],
+            ["circle", "--points", "1000001"],
+            ["circle", "--points", "600000", "--odb", "3.5,8"],
         ],
     )
     def test_bad_value_is_one_line_usage_error(self, capsys, argv):

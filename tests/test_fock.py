@@ -365,6 +365,19 @@ class TestModeIdHash:
         assert sorted(with_pol) == sorted(with_pol, key=lambda m: (m.spatial, m.pol, m.sink, m.tag))
         assert ModeId("a", "H") < ModeId("a", "H", sink=True) < ModeId("a", "V")
 
+    def test_fields_are_immutable_and_keywords_build_the_same_mode(self):
+        m = ModeId(spatial="a", pol="H", sink=True, tag="undet")
+        assert m == self.MODES[2] and (m.spatial, m.pol, m.sink, m.tag) == ("a", "H", True, "undet")
+        assert ModeId("b") == ModeId("b", pol=None, sink=False, tag="")
+        with pytest.raises(AttributeError):
+            m.pol = "V"
+        with pytest.raises(AttributeError):
+            m.extra = 1
+
+    def test_label(self):
+        assert [m.label() for m in self.MODES] == ["a_H", "a_V", "a_H!undet", "f_+!pair", "b"]
+        assert ModeId("a", sink=True).label() == "a!"
+
     def test_hash_survives_deepcopy(self):
         for m in self.MODES:
             twin = copy.deepcopy(m)
@@ -451,3 +464,4 @@ def test_measure_all_is_bit_identical_to_reference(state, detected, keep_posteri
         if r.posterior is not None:
             assert o.posterior.modes == r.posterior.modes
             assert list(o.posterior.terms.items()) == list(r.posterior.terms.items())
+

@@ -1,11 +1,17 @@
 """Circuit-simulation tests: exact agreement with the closed forms plus the
 structural guarantees the heralding logic relies on."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
-from nlrouter import analytics
+from nlrouter import analytics, fock
 from nlrouter.protocols import (
     BELL_STATES,
     bell_state,
@@ -195,3 +201,88 @@ class TestBitExactPins:
             (1, 0): "0x1.fe5f361e39ab2p-1",
         }
         assert sum(probs.values()).hex() == "0x1.ffffffffffffbp-1"
+
+
+# (protocol, phi, od_b, p_de, phi1): every protocol, and p_de, phi1 and od_b
+# changing from one call to the next on the same circuit shapes
+_COHERENCE_CALLS = [
+    ("bm", 1.3, 30.0, 0.9, 0.0),
+    ("ghz", PI / 3, 30.0, 0.98, 0.0),
+    ("bm", 1.3, 30.0, 0.97, -1.3 / 11),
+    ("evl", 2.2, math.inf, 0.85, 0.0),
+    ("bm", 2.0, 60.0, 0.97, 0.0),
+    ("ghz", 2.0, 60.0, 0.9, -2.0 / 11),
+    ("evl", 1.3, 30.0, 0.9, 0.0),
+    ("bm", 2.0, 60.0, 0.9, -2.0 / 11),
+    ("ghz", PI / 3, 30.0, 0.5, 0.0),
+]
+
+
+def _coherence_bits(call):
+    name, phi, od_b, p_de, phi1 = call
+    if name == "evl":
+        r = run_evl_bell_measurement(phi, od_b, p_de)
+    else:
+        r = {"bm": run_bell_measurement, "ghz": run_ghz}[name](phi, od_b, p_de, phi1)
+    return [r.p_success.hex(), r.total().hex()]
+
+
+class TestCacheCoherence:
+    """The engine's layout table outlives a call; no call may see another's plans.
+
+    The reference runs each call in a fresh interpreter, where the table
+    starts empty.  Here the calls are interleaved, repeated in another order
+    and run from three threads at once, and must give the same bits.
+    """
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        src = str(Path(__import__("nlrouter").__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import json, sys; from test_protocols import _coherence_bits; "
+            "print(json.dumps(_coherence_bits(json.loads(sys.argv[1]))))"
+        )
+        bits = []
+        for call in _COHERENCE_CALLS:
+            out = subprocess.run(
+                [sys.executable, "-c", code, json.dumps(call)],
+                env=env, cwd=Path(__file__).parent, capture_output=True, check=True, text=True,
+            ).stdout
+            bits.append(json.loads(out))
+        return bits
+
+    def test_interleaved_calls_match_a_fresh_process(self, fresh):
+        assert [_coherence_bits(c) for c in _COHERENCE_CALLS] == fresh
+        order = list(reversed(range(len(_COHERENCE_CALLS))))
+        assert [_coherence_bits(_COHERENCE_CALLS[i]) for i in order] == [fresh[i] for i in order]
+
+    def test_a_full_table_is_cleared_and_keeps_the_bits(self, fresh, monkeypatch):
+        monkeypatch.setattr(fock, "_LAYOUTS", {})
+        monkeypatch.setattr(fock, "_LAYOUT_LIMIT", 5)
+        assert [_coherence_bits(c) for c in _COHERENCE_CALLS] == fresh
+        assert len(fock._LAYOUTS) <= 5
+
+    def test_threaded_calls_match_a_fresh_process(self, fresh):
+        n = len(_COHERENCE_CALLS)
+        forward = list(range(n))
+        orders = [forward, forward[::-1], forward[n // 2 :] + forward[: n // 2]]
+        results: dict[tuple[int, int], list] = {}
+
+        def worker(t):
+            for i in orders[t]:
+                results[(t, i)] = _coherence_bits(_COHERENCE_CALLS[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(len(orders))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(results) == len(orders) * n
+        assert all(bits == fresh[i] for (_, i), bits in results.items())
