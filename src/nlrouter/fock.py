@@ -17,6 +17,11 @@ point of a sweep shares one entry.  The table is cleared past
 ``_LAYOUT_LIMIT`` entries, which bounds its memory.  A linear map's layout
 also holds its added-photon plans, one per occupation pattern of the
 touched modes, for the last coefficient vector it saw.
+
+Every element acts only on the polarization submodes of a spatial mode that
+hold photons (``_pol_variants``): a photon-free submode is left alone and
+never grows the registry.  The polarizing beam splitter and the 45-degree
+rotation refuse a photon outside their bases, an unpolarized one included.
 """
 
 from __future__ import annotations
@@ -47,11 +52,19 @@ PRUNE_TOL = 1e-15
 
 _HV = ("H", "V")
 _DIAG = ("+", "-")
+_BASIS_POLS = {"diagonal": _DIAG, "hv": _HV}
 
 
 def _padded(terms: dict[tuple, complex], pad: tuple) -> dict[tuple, complex]:
     """``terms`` with each occupation tuple extended by ``pad`` (zeros for newly added modes)."""
     return {occ + pad: a for occ, a in terms.items()} if pad else terms
+
+
+def _grown(modes: tuple[ModeId, ...], new: Iterable[ModeId]) -> tuple[tuple[ModeId, ...], tuple]:
+    """``modes`` followed by each of ``new`` it lacks (once, in listed order), and the zero pad for a term."""
+    have = set(modes)
+    missing = tuple(dict.fromkeys(m for m in new if m not in have))
+    return modes + missing, (0,) * len(missing)
 
 
 class ModeId(NamedTuple):
@@ -99,11 +112,8 @@ class FockState:
 
     def ensure_modes(self, new_modes: Iterable[ModeId]) -> "FockState":
         """Return an equivalent state whose registry includes ``new_modes``."""
-        have = set(self.modes)
-        missing = list(dict.fromkeys(m for m in new_modes if m not in have))
-        if not missing:
-            return self
-        return FockState(self.modes + tuple(missing), _padded(self.terms, (0,) * len(missing)))
+        modes, pad = _grown(self.modes, new_modes)
+        return FockState(modes, _padded(self.terms, pad)) if pad else self
 
     def norm_squared(self) -> float:
         return sum((a.real * a.real + a.imag * a.imag) for a in self.terms.values())
@@ -230,8 +240,7 @@ class _LinearLayout:
     def __init__(self, modes: tuple[ModeId, ...], structure: tuple[tuple[ModeId, tuple[ModeId, ...]], ...]):
         sources = [m for m, _ in structure]
         targets = [t for _, outs in structure for t in outs]
-        self.modes = FockState(modes).ensure_modes(sources + targets).modes
-        self.pad = (0,) * (len(self.modes) - len(modes))
+        self.modes, self.pad = _grown(modes, sources + targets)
         index = {m: i for i, m in enumerate(self.modes)}
         self.touched = sorted({index[m] for m in sources} | {index[t] for t in targets})
         pos = {self.modes[i]: k for k, i in enumerate(self.touched)}
@@ -282,21 +291,16 @@ def _spatial_columns(modes: tuple[ModeId, ...], spatial: str) -> list[tuple[Opti
 
 
 def _pol_variants(state: FockState, spatial: str) -> list[Optional[str]]:
-    """Polarizations with actual photon support in ``spatial`` (sinks excluded)."""
+    """The polarizations holding photons in ``spatial`` (sinks excluded), sorted: the submodes every element acts on."""
     columns = _layout(_spatial_columns, state.modes, spatial)
-    pols = {pol for pol, column in columns if any(map(column, state.terms))}
-    return sorted(pols, key=str) or [None]
+    return sorted({pol for pol, column in columns if any(map(column, state.terms))}, key=str)
 
 
 def _spatial_map(state: FockState, pairs: Mapping[str, Sequence[tuple[str, complex]]]) -> FockState:
-    """Lift a spatial-mode map to every polarization submode present."""
-    mapping: dict[ModeId, list[tuple[ModeId, complex]]] = {}
-    present = set(state.modes)
-    for src, outs in pairs.items():
-        for pol in _pol_variants(state, src):
-            key = ModeId(src, pol)
-            if key in present:
-                mapping[key] = [(ModeId(dst, pol), c) for dst, c in outs]
+    """Lift a spatial-mode map to every polarization submode that holds photons."""
+    mapping = {
+        ModeId(src, pol): [(ModeId(dst, pol), c) for dst, c in outs] for src, outs in pairs.items() for pol in _pol_variants(state, src)
+    }
     return _apply_linear_map(state, mapping) if mapping else state
 
 
@@ -325,22 +329,17 @@ def apply_pbs(state: FockState, in1: str, in2: str, out1: str, out2: str) -> Foc
     """Polarizing beam splitter: H transmits, V reflects with a factor i.
 
     in1_H -> out2_H, in1_V -> i*out1_V, in2_H -> out1_H, in2_V -> i*out2_V.
-    Photons must be expressed in the H/V basis.
+    Photons must be expressed in the H/V basis: a diagonal or unpolarized
+    photon in either input raises ValueError.
     """
     mapping: dict[ModeId, list[tuple[ModeId, complex]]] = {}
-    present = set(state.modes)
     for src, t_out, r_out in ((in1, out2, out1), (in2, out1, out2)):
+        routes = {"H": (t_out, 1.0 + 0.0j), "V": (r_out, 1j)}
         for pol in _pol_variants(state, src):
-            if pol is None:
-                continue  # vacuum port
-            if pol not in _HV:
+            if pol not in routes:
                 raise ValueError(f"PBS input {src} carries polarization {pol!r}; expected H/V")
-            key = ModeId(src, pol)
-            if key in present:
-                if pol == "H":
-                    mapping[key] = [(ModeId(t_out, "H"), 1.0 + 0.0j)]
-                else:
-                    mapping[key] = [(ModeId(r_out, "V"), 1j)]
+            dst, c = routes[pol]
+            mapping[ModeId(src, pol)] = [(ModeId(dst, pol), c)]
     return _apply_linear_map(state, mapping) if mapping else state
 
 
@@ -349,9 +348,10 @@ def apply_rotation_45(state: FockState, spatial: str) -> FockState:
 
     H -> (+ + -)/sqrt2, V -> (+ - -)/sqrt2 and, when the mode already holds
     diagonal labels, the inverse map back to H/V.  Applying the rotation and
-    then its inverse is the identity.
+    then its inverse is the identity.  A mode whose photons mix the two bases,
+    or include an unpolarized one, raises ValueError.
     """
-    pols = [p for p in _pol_variants(state, spatial) if p is not None]
+    pols = _pol_variants(state, spatial)
     if not pols:
         return state
     if all(p in _HV for p in pols):
@@ -359,15 +359,10 @@ def apply_rotation_45(state: FockState, spatial: str) -> FockState:
     elif all(p in _DIAG for p in pols):
         src, dst = _DIAG, _HV
     else:
-        raise ValueError(f"mode {spatial} mixes polarization bases: {pols}")
+        raise ValueError(f"mode {spatial} holds polarizations {pols}; expected all H/V or all +/-")
     s = 1.0 / math.sqrt(2.0)
-    mapping = {}
-    present = set(state.modes)
-    for pol in src:
-        key = ModeId(spatial, pol)
-        if key in present:
-            mapping[key] = [(ModeId(spatial, dst[0]), s), (ModeId(spatial, dst[1]), s if pol == src[0] else -s)]
-    return _apply_linear_map(state, mapping) if mapping else state
+    mapping = {ModeId(spatial, pol): [(ModeId(spatial, dst[0]), s), (ModeId(spatial, dst[1]), s if pol == src[0] else -s)] for pol in pols}
+    return _apply_linear_map(state, mapping)
 
 
 def apply_loss(state: FockState, spatial: str, transmission: float, tag: str = "lin") -> FockState:
@@ -376,12 +371,10 @@ def apply_loss(state: FockState, spatial: str, transmission: float, tag: str = "
         raise ValueError("transmission must lie in [0, 1]")
     t = math.sqrt(transmission)
     r = math.sqrt(1.0 - transmission)
-    mapping: dict[ModeId, list[tuple[ModeId, complex]]] = {}
-    present = set(state.modes)
-    for pol in _pol_variants(state, spatial):
-        key = ModeId(spatial, pol)
-        if key in present:
-            mapping[key] = [(key, t + 0.0j), (ModeId(spatial, pol, sink=True, tag=tag), r + 0.0j)]
+    mapping = {
+        ModeId(spatial, pol): [(ModeId(spatial, pol), t + 0.0j), (ModeId(spatial, pol, sink=True, tag=tag), r + 0.0j)]
+        for pol in _pol_variants(state, spatial)
+    }
     return _apply_linear_map(state, mapping) if mapping else state
 
 
@@ -397,7 +390,8 @@ class NonlinearMediumSpec:
     ``interaction_basis`` names the polarization basis the arm photons must be
     expressed in.  ``pair_coupling`` selects whether only same-polarization
     pairs are blockaded (self-phase modulation) or any two photons sharing the
-    arm ("any", polarization-insensitive blockade).
+    arm ("any", polarization-insensitive blockade).  Any other value of
+    either field raises ValueError when the spec is built.
     """
 
     phi1: float
@@ -407,18 +401,11 @@ class NonlinearMediumSpec:
     interaction_basis: str = "diagonal"  # "diagonal" or "hv"
     pair_coupling: str = "same_polarization"  # or "any"
 
-    @property
-    def phi(self) -> float:
-        """Conditional phase of the pair relative to two independent photons."""
-        return self.phi2 - self.phi1
-
-
-def _basis_pols(basis: str) -> tuple[str, ...]:
-    if basis == "diagonal":
-        return _DIAG
-    if basis == "hv":
-        return _HV
-    raise ValueError(f"unknown interaction basis {basis!r}")
+    def __post_init__(self) -> None:
+        if self.interaction_basis not in _BASIS_POLS:
+            raise ValueError(f"unknown interaction basis {self.interaction_basis!r}; expected 'diagonal' or 'hv'")
+        if self.pair_coupling not in ("same_polarization", "any"):
+            raise ValueError(f"unknown pair coupling {self.pair_coupling!r}; expected 'same_polarization' or 'any'")
 
 
 class _MediumLayout:
@@ -427,7 +414,7 @@ class _MediumLayout:
     __slots__ = ("modes", "pad", "idx", "sidx")
 
     def __init__(self, modes: tuple[ModeId, ...], arm: str, basis: str):
-        allowed = _basis_pols(basis)
+        allowed = _BASIS_POLS[basis]
         arm_modes = [m for m in modes if m.spatial == arm and not m.sink]
         for m in arm_modes:
             if m.pol is not None and m.pol not in allowed:
@@ -435,8 +422,7 @@ class _MediumLayout:
                     f"arm {arm} photon polarization {m.pol!r} is not in the medium's {basis} interaction basis"
                 )
         sinks = {(m.pol, k): ModeId(arm, m.pol, sink=True, tag=k) for m in arm_modes for k in ("single", "pair")}
-        self.modes = FockState(modes).ensure_modes(sinks.values()).modes
-        self.pad = (0,) * (len(self.modes) - len(modes))
+        self.modes, self.pad = _grown(modes, sinks.values())
         index = {m: i for i, m in enumerate(self.modes)}
         self.idx = {m: index[m] for m in arm_modes}
         self.sidx = {key: index[m] for key, m in sinks.items()}
@@ -466,12 +452,21 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
     e12 = complex(math.cos(sign * (spec.phi1 + spec.phi2)), math.sin(sign * (spec.phi1 + spec.phi2)))
     r1 = math.sqrt(spec.tau1)
     r2 = math.sqrt(spec.tau2)
+    w = 1.0 / math.sqrt(2.0)  # a cross-polarized blockaded pair loses either photon
 
     new_terms: dict[tuple, complex] = {}
 
     def put(occ: tuple, amp: complex) -> None:
         if amp != 0.0:
             new_terms[occ] = new_terms.get(occ, 0.0j) + amp
+
+    def absorbed(occ: tuple, *moves: tuple[ModeId, str]) -> tuple:
+        """``occ`` with one photon of each ``(arm mode, kind)`` moved to that mode's ``kind`` sink."""
+        lost = list(occ)
+        for m, kind in moves:
+            lost[idx[m]] -= 1
+            lost[sidx[(m.pol, kind)]] += 1
+        return tuple(lost)
 
     for occ, amp in terms.items():
         occupied = [(m, occ[i]) for m, i in idx.items() if occ[i]]
@@ -481,47 +476,27 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
         elif n == 1:
             (m, _), = occupied
             put(occ, amp * t1 * e1)
-            lost = list(occ)
-            lost[idx[m]] = 0
-            lost[sidx[(m.pol, "single")]] += 1
-            put(tuple(lost), amp * r1)
+            put(absorbed(occ, (m, "single")), amp * r1)
         elif n == 2:
             same_pol = len(occupied) == 1
-            blockaded = same_pol or spec.pair_coupling == "any"
-            if blockaded:
+            if same_pol or spec.pair_coupling == "any":
                 put(occ, amp * t1 * t2 * e12)
-                singles = [m for m, c in occupied for _ in range(c)]
-                w = 1.0 / math.sqrt(len(singles) if not same_pol else 1.0)
                 for kind, amp_k in (("pair", t1 * r2 * e1), ("single", r1)):
                     if amp_k == 0.0:
                         continue
                     if same_pol:
-                        m = occupied[0][0]
-                        lost = list(occ)
-                        lost[idx[m]] -= 1
-                        lost[sidx[(m.pol, kind)]] += 1
-                        put(tuple(lost), amp * amp_k)
+                        put(absorbed(occ, (occupied[0][0], kind)), amp * amp_k)
                     else:
-                        for m in singles:
-                            lost = list(occ)
-                            lost[idx[m]] -= 1
-                            lost[sidx[(m.pol, kind)]] += 1
-                            put(tuple(lost), amp * amp_k * w)
+                        for m, _ in occupied:
+                            put(absorbed(occ, (m, kind)), amp * amp_k * w)
             else:
                 # two distinguishable-polarization photons, self-phase only:
                 # each passes the single-photon channel independently
                 (ma, _), (mb, _) = occupied
                 put(occ, amp * (t1 * e1) ** 2)
                 for lose in (mb, ma):
-                    lost = list(occ)
-                    lost[idx[lose]] = 0
-                    lost[sidx[(lose.pol, "single")]] += 1
-                    put(tuple(lost), amp * t1 * e1 * r1)
-                both = list(occ)
-                both[idx[ma]] = both[idx[mb]] = 0
-                both[sidx[(ma.pol, "single")]] += 1
-                both[sidx[(mb.pol, "single")]] += 1
-                put(tuple(both), amp * r1 * r1)
+                    put(absorbed(occ, (lose, "single")), amp * t1 * e1 * r1)
+                put(absorbed(occ, (ma, "single"), (mb, "single")), amp * r1 * r1)
         else:
             raise ValueError(f"nonlinear medium supports at most 2 photons per arm, got {n}")
     return FockState(layout.modes, new_terms).prune()
@@ -565,8 +540,7 @@ class _MeasureLayout:
     __slots__ = ("modes", "pad", "project", "labels", "patterns", "rest_modes", "rest")
 
     def __init__(self, modes: tuple[ModeId, ...], detected: tuple[ModeId, ...]):
-        self.modes = FockState(modes).ensure_modes(detected).modes
-        self.pad = (0,) * (len(self.modes) - len(modes))
+        self.modes, self.pad = _grown(modes, detected)
         index = {m: i for i, m in enumerate(self.modes)}
         det_idx = [index[m] for m in detected]
         self.project = _projector(det_idx)

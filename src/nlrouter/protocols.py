@@ -276,6 +276,12 @@ def _classify_bm(
     )
 
 
+def _check_input_state(input_state: str) -> None:
+    """Refuse an ``input_state`` that is neither ``"average"`` nor a Bell state, before any circuit runs."""
+    if input_state != "average" and input_state not in BELL_STATES:
+        raise ValueError(f"unknown input state {input_state!r}")
+
+
 def _average(results: dict[str, ProtocolResult], protocol: str) -> ProtocolResult:
     n = len(results)
     return ProtocolResult(
@@ -300,15 +306,12 @@ def run_bell_measurement(
     ``input_state`` selects one Bell state or ``"average"`` for the uniform
     ensemble over all four; per-state results are attached either way.
     """
+    _check_input_state(input_state)
     records = {s: _run_bm_circuit(s, phi, od_b, p_de, phi1) for s in BELL_STATES}
     dists = {s: {r.pattern: r.probability for r in recs} for s, recs in records.items()}
     table = _decision_table(dists, refined=False)
     results = {s: _classify_bm(s, records[s], table, False, "bell_measurement") for s in BELL_STATES}
-    if input_state == "average":
-        return _average(results, "bell_measurement")
-    if input_state not in results:
-        raise ValueError(f"unknown input state {input_state!r}")
-    return results[input_state]
+    return _average(results, "bell_measurement") if input_state == "average" else results[input_state]
 
 
 def _two_photon_ancilla(spatial: str = "anc") -> FockState:
@@ -331,6 +334,7 @@ def run_evl_bell_measurement(
     instead of an ambiguity; both ancilla photons must be detected, which
     multiplies the success by the detection efficiency squared.
     """
+    _check_input_state(input_state)
     records = {s: _run_bm_circuit(s, phi, od_b, p_de, 0.0, ancilla=True) for s in BELL_STATES}
     dists: dict[str, dict[tuple, float]] = {}
     for s, recs in records.items():
@@ -342,11 +346,7 @@ def run_evl_bell_measurement(
         dists[s] = dist
     table = _decision_table(dists, refined=True)
     results = {s: _classify_bm(s, records[s], table, True, "evl_bell_measurement") for s in BELL_STATES}
-    if input_state == "average":
-        return _average(results, "evl_bell_measurement")
-    if input_state not in results:
-        raise ValueError(f"unknown input state {input_state!r}")
-    return results[input_state]
+    return _average(results, "evl_bell_measurement") if input_state == "average" else results[input_state]
 
 
 # ------------------------------------------------------------------- GHZ

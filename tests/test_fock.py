@@ -113,6 +113,24 @@ class TestPolarizationOptics:
         assert abs(amplitude(s, **{"x_+": 1}) - 1 / math.sqrt(2)) < TOL
         assert abs(amplitude(s, **{"x_-": 1}) - 1 / math.sqrt(2)) < TOL
 
+    def test_unpolarized_photon_is_refused(self):
+        s = FockState.from_occupations({ModeId("a"): 1, ModeId("b", "H"): 1})
+        with pytest.raises(ValueError, match="expected H/V"):
+            apply_pbs(s, "a", "b", "c", "d")
+        with pytest.raises(ValueError, match="expected H/V"):
+            apply_pbs(s, "b", "a", "c", "d")
+        with pytest.raises(ValueError, match="expected all H/V or all"):
+            apply_rotation_45(s, "a")
+
+    def test_photon_free_submodes_are_left_alone(self):
+        # a registry submode without photons is neither mapped nor grown
+        s = FockState.from_occupations({ModeId("a"): 0, ModeId("b", "H"): 0, ModeId("b", "V"): 1})
+        for out in (apply_loss(s, "a", 0.5), apply_beamsplitter(s, "a", None, "c", "d"), apply_rotation_45(s, "a")):
+            assert out.modes == s.modes and out.terms == s.terms
+        out = apply_pbs(s, "b", "a", "c", "d")
+        assert out.modes == s.modes + (ModeId("c", "V"),)
+        assert out.terms == {(0, 0, 0, 1): 1j}
+
 
 MEDIUM = NonlinearMediumSpec(phi1=0.25, tau1=0.15, phi2=0.9, tau2=0.3, interaction_basis="diagonal")
 
@@ -170,6 +188,11 @@ class TestNonlinearMedium:
     def test_wrong_basis_raises(self):
         with pytest.raises(ValueError, match="interaction basis"):
             apply_nonlinear_medium(one_photon("f", "H"), "f", MEDIUM)
+
+    @pytest.mark.parametrize("field,value", [("interaction_basis", "circular"), ("pair_coupling", "anyy")])
+    def test_bad_spec_field_is_refused_when_built(self, field, value):
+        with pytest.raises(ValueError, match=f"unknown {field.replace('_', ' ')} '{value}'"):
+            NonlinearMediumSpec(0.25, 0.15, 0.9, 0.3, **{field: value})
 
     def test_three_photons_unsupported(self):
         s = FockState.from_occupations({ModeId("f", "+"): 3})
@@ -349,6 +372,48 @@ def test_linear_map_is_bit_identical_to_dense_reference(state, outs_plus, outs_m
     out, ref = _apply_linear_map(state, mapping), dense_linear_map(state, mapping)
     assert out.modes == ref.modes
     assert list(out.terms.items()) == list(ref.terms.items())
+
+
+@st.composite
+def rotation_inputs(draw, max_total=3):
+    """A state whose mode ``x`` holds photons in one submode of a basis while its
+    other submode of that basis sits in the registry without photons."""
+    basis = draw(st.sampled_from([("H", "V"), ("+", "-")]))
+    full, empty = draw(st.permutations(basis))
+    other = ("+", "-") if basis == ("H", "V") else ("H", "V")
+    extra = [ModeId("x", other[0]), ModeId("x", full, sink=True, tag="undet"), ModeId("y", "H")]
+    modes = draw(st.permutations([ModeId("x", full), ModeId("x", empty)] + draw(st.lists(st.sampled_from(extra), unique=True))))
+    free = [i for i, m in enumerate(modes) if m.spatial != "x" or m.sink]  # modes that may hold photons besides x_full
+    occ = st.tuples(st.integers(1, max_total), st.lists(st.integers(0, max_total), min_size=len(free), max_size=len(free)))
+    terms = {}
+    for n_full, rest in draw(st.lists(occ, min_size=1, max_size=6)):
+        counts = [0] * len(modes)
+        counts[modes.index(ModeId("x", full))] = n_full
+        for i, n in zip(free, rest):
+            counts[i] = n
+        if sum(counts) <= max_total:
+            terms[tuple(counts)] = draw(amps)
+    if not terms:  # every draw was over the photon budget: one photon in x_full
+        terms[tuple(int(m == ModeId("x", full)) for m in modes)] = draw(amps)
+    return FockState(modes, terms), basis
+
+
+def _hex_items(state):
+    return [(occ, a.real.hex(), a.imag.hex()) for occ, a in state.terms.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rotation_inputs())
+def test_rotation_is_bit_identical_to_dense_map_over_every_registry_submode(case):
+    # the rotation maps only the submode holding photons; mapping the
+    # photon-free one as well must give the same modes and the same bits
+    state, src = case
+    dst = ("+", "-") if src == ("H", "V") else ("H", "V")
+    s = 1.0 / math.sqrt(2.0)
+    mapping = {ModeId("x", pol): [(ModeId("x", dst[0]), s), (ModeId("x", dst[1]), s if pol == src[0] else -s)] for pol in src}
+    out, ref = apply_rotation_45(state, "x"), dense_linear_map(state, mapping)
+    assert out.modes == ref.modes
+    assert _hex_items(out) == _hex_items(ref)
 
 
 class TestModeIdHash:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from nlrouter import analytics, fock
+from nlrouter import analytics, fock, protocols
 from nlrouter.protocols import (
     BELL_STATES,
     bell_state,
@@ -111,6 +111,15 @@ class TestBellMeasurement:
     def test_unknown_input(self):
         with pytest.raises(ValueError, match="unknown input state"):
             run_bell_measurement(1.0, input_state="banana")
+
+    @pytest.mark.parametrize("run", [run_bell_measurement, run_evl_bell_measurement])
+    def test_unknown_input_is_refused_before_any_circuit_runs(self, run, monkeypatch):
+        def circuit(*args, **kwargs):
+            raise AssertionError("a circuit ran for a refused input state")
+
+        monkeypatch.setattr(protocols, "_run_bm_circuit", circuit)
+        with pytest.raises(ValueError, match="unknown input state 'banana'"):
+            run(1.0, input_state="banana")
 
 
 class TestAncillaAssistedBellMeasurement:
