@@ -24,7 +24,7 @@ from .protocols import (
     simulated_cnot_success,
     simulated_factorization_success,
 )
-from .rydberg import CirclePoint, DetunedParams, Unreachable, detuned_params, effective_od_with_cavity, loss_from_phase
+from .rydberg import CirclePoint, DetunedParams, detuned_params, effective_od_with_cavity, loss_from_phase
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "OutcomeRecord",
     "ProtocolResult",
     "ScalingFit",
-    "Unreachable",
     "bell_state",
     "detuned_params",
     "effective_od_with_cavity",

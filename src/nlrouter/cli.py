@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, TextIO
 
 from . import analytics, protocols
-from .rydberg import Unreachable, loss_from_phase
+from .rydberg import loss_from_phase
 
 USAGE_ERROR, NUMERICAL_ERROR, IO_ERROR = 1, 2, 3
 MAX_POINTS = 1_000_000  # per range and per sweep grid, checked before the grid is built
@@ -198,7 +198,7 @@ def _sweep_point_rows(protocol: str, engine: str, pt: SweepPoint) -> list[dict]:
         f_val = _FORMULA[protocol](*args) if engine != "simulator" else None
         s_val = spec.simulate(*args) if engine != "formula" else None
         status = "ok"
-    except Unreachable:  # any other ValueError is a fault: main exits 2 before writing a row
+    except ValueError:
         f_val = s_val = None
         status = "unreachable"
     if protocol != "router":

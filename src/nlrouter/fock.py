@@ -299,7 +299,9 @@ def _pol_variants(state: FockState, spatial: str) -> list[Optional[str]]:
 def _spatial_map(state: FockState, pairs: Mapping[str, Sequence[tuple[str, complex]]]) -> FockState:
     """Lift a spatial-mode map to every polarization submode that holds photons."""
     mapping = {
-        ModeId(src, pol): [(ModeId(dst, pol), c) for dst, c in outs] for src, outs in pairs.items() for pol in _pol_variants(state, src)
+        ModeId(src, pol): [(ModeId(dst, pol), c) for dst, c in outs]
+        for src, outs in pairs.items()
+        for pol in _pol_variants(state, src)
     }
     return _apply_linear_map(state, mapping) if mapping else state
 
@@ -352,8 +354,6 @@ def apply_rotation_45(state: FockState, spatial: str) -> FockState:
     or include an unpolarized one, raises ValueError.
     """
     pols = _pol_variants(state, spatial)
-    if not pols:
-        return state
     if all(p in _HV for p in pols):
         src, dst = _HV, _DIAG
     elif all(p in _DIAG for p in pols):
@@ -361,8 +361,11 @@ def apply_rotation_45(state: FockState, spatial: str) -> FockState:
     else:
         raise ValueError(f"mode {spatial} holds polarizations {pols}; expected all H/V or all +/-")
     s = 1.0 / math.sqrt(2.0)
-    mapping = {ModeId(spatial, pol): [(ModeId(spatial, dst[0]), s), (ModeId(spatial, dst[1]), s if pol == src[0] else -s)] for pol in pols}
-    return _apply_linear_map(state, mapping)
+    mapping = {
+        ModeId(spatial, pol): [(ModeId(spatial, dst[0]), s), (ModeId(spatial, dst[1]), s if pol == src[0] else -s)]
+        for pol in pols
+    }
+    return _apply_linear_map(state, mapping) if mapping else state
 
 
 def apply_loss(state: FockState, spatial: str, transmission: float, tag: str = "lin") -> FockState:
@@ -481,9 +484,7 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
             same_pol = len(occupied) == 1
             if same_pol or spec.pair_coupling == "any":
                 put(occ, amp * t1 * t2 * e12)
-                for kind, amp_k in (("pair", t1 * r2 * e1), ("single", r1)):
-                    if amp_k == 0.0:
-                        continue
+                for kind, amp_k in (("pair", t1 * r2 * e1), ("single", r1)):  # put drops a zero branch
                     if same_pol:
                         put(absorbed(occ, (occupied[0][0], kind)), amp * amp_k)
                     else:

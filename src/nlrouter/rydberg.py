@@ -18,15 +18,10 @@ from dataclasses import dataclass
 __all__ = [
     "CirclePoint",
     "DetunedParams",
-    "Unreachable",
     "loss_from_phase",
     "detuned_params",
     "effective_od_with_cavity",
 ]
-
-
-class Unreachable(ValueError):
-    """A conditional phase beyond the reach of the optical depth: |phi| > od_b/4."""
 
 
 @dataclass(frozen=True)
@@ -61,8 +56,8 @@ def loss_from_phase(phi: float, od_b: float, branch: str = "lower") -> CirclePoi
     """Loss exponent and absorbed fraction at conditional phase ``phi``.
 
     ``od_b`` is the blockaded optical depth; ``od_b = inf`` gives the
-    lossless limit tau = 0 for any phase.  Raises :class:`Unreachable`, a
-    ValueError, when ``phi`` lies outside the reachable range |phi| <= od_b/4.
+    lossless limit tau = 0 for any phase.  Raises ValueError when ``phi``
+    lies outside the reachable range |phi| <= od_b/4.
     """
     if od_b <= 0.0:
         raise ValueError("od_b must be positive")
@@ -70,7 +65,7 @@ def loss_from_phase(phi: float, od_b: float, branch: str = "lower") -> CirclePoi
         return CirclePoint(phi=phi, eps=0.0, tau=0.0)
     radius = od_b / 4.0
     if abs(phi) > radius:
-        raise Unreachable(f"phase {phi:g} unreachable at od_b={od_b:g}; |phi| <= od_b/4 required")
+        raise ValueError(f"phase {phi:g} unreachable at od_b={od_b:g}; |phi| <= od_b/4 required")
     root = math.sqrt(radius * radius - phi * phi)
     if branch == "lower":
         eps = 2.0 * (radius - root)

@@ -150,20 +150,6 @@ class TestExitCodes:
         assert code == 3
         assert "cannot write" in err
 
-    @pytest.mark.parametrize("out", [None, "out.csv"])
-    def test_simulator_fault_is_two_and_writes_no_row(self, capsys, monkeypatch, tmp_path, out):
-        # only an unreachable phase makes an `unreachable` row; any other
-        # ValueError is a fault of the formula or the simulator
-        def fault(*args):
-            raise ValueError("at most 2 photons per arm")
-
-        monkeypatch.setattr(cli.protocols, "run_bell_measurement", fault)
-        argv = ["sweep", "--phi", "0:pi/3:3", "--odb", "30", "--engine", "both"]
-        code, stdout, err = run_cli(capsys, *argv, *(["--out", str(tmp_path / out)] if out else []))
-        assert (code, stdout) == (2, "")
-        assert err == "nlrouter: numerical error: at most 2 photons per arm\n"
-        assert list(tmp_path.iterdir()) == []
-
     def test_detuned_ancilla_protocol_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--protocol", "evl", "--phi", "pi/3", "--phi1-ratio", "0.1")
         assert code == 1
