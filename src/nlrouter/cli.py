@@ -69,6 +69,7 @@ PROTOCOLS = tuple(PROTOCOL_TABLE)
 OPT_PROTOCOLS = tuple(name for name, p in PROTOCOL_TABLE.items() if p.opt_name)
 # The sweep calls closed forms through this dict, so each entry can be swapped alone.
 _FORMULA: dict[str, Callable[..., Any]] = {name: p.formula for name, p in PROTOCOL_TABLE.items()}
+_CONFIG_FIELDS = ("protocol", "phi", "odb", "pde", "phi1_ratio", "engine", "out", "format")  # sweep --config keys
 _ROUTER_PORTS = (("router-uu", (2, 0)), ("router-uw", (1, 1)), ("router-ww", (0, 2)))
 
 
@@ -250,7 +251,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise CliError(f"bad config file: {exc}", USAGE_ERROR) from None
         if not isinstance(cfg, dict):
             raise CliError("config file must hold a JSON object", USAGE_ERROR)
-        for key in ("protocol", "phi", "odb", "pde", "phi1_ratio", "engine", "out", "format"):
+        for key in cfg:
+            if key not in _CONFIG_FIELDS:
+                raise CliError(f"unknown config field {key!r}; expected any of {', '.join(_CONFIG_FIELDS)}", USAGE_ERROR)
+        for key in _CONFIG_FIELDS:
             value = cfg.get(key)
             if value is None or getattr(args, key) is not None:
                 continue
@@ -325,8 +329,11 @@ def _parse_od_range(text: str) -> list[float]:
     lo, hi = _parse_float(parts[0]), _parse_float(parts[1])
     if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
         raise CliError("od_b range bounds must be finite and positive", USAGE_ERROR)
+    ratio = hi / lo
+    if not 0.0 < ratio < math.inf:
+        raise CliError(f"od_b range {text!r} has a stop/start ratio of {ratio:g}; it must be finite and nonzero", USAGE_ERROR)
     n = _parse_count(parts[2], "od_b range")
-    return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+    return [lo * ratio ** (i / (n - 1)) for i in range(n)]
 
 
 def cmd_opt_phase(args: argparse.Namespace) -> int:
@@ -418,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--phi1-ratio", dest="phi1_ratio", help="single-photon detuning phase as a multiple of phi (default 0)")
     sweep.add_argument("--engine", choices=("formula", "simulator", "sim", "both"), help="evaluation engine (default formula)")
     sweep.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    sweep.add_argument("--config", help="JSON file supplying any of the above fields")
+    sweep.add_argument("--config", help=f"JSON object file supplying any of the fields {', '.join(_CONFIG_FIELDS)}; command-line flags win, and any other key is a usage error")
     sweep.add_argument("--out", help="output path (default stdout)")
     sweep.set_defaults(func=cmd_sweep)
 

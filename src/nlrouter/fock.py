@@ -524,9 +524,13 @@ def apply_detector_efficiency(state: FockState, spatials: Sequence[str], p_de: f
 
 @dataclass
 class OutcomeRecord:
-    """One detection pattern with its probability and protocol verdict."""
+    """One detection pattern with its probability and protocol verdict.
 
-    pattern: tuple[tuple[str, int], ...]
+    ``pattern`` holds a ``(ModeId, count)`` pair for each detected mode that
+    clicked, in detector order; ``ModeId.label()`` is its display form.
+    """
+
+    pattern: tuple[tuple[ModeId, int], ...]
     probability: float
     classification: str = ""
     posterior: Optional[FockState] = None
@@ -538,15 +542,15 @@ class OutcomeRecord:
 class _MeasureLayout:
     """Projections of one registry onto one detected-mode list, and each projected key's pattern."""
 
-    __slots__ = ("modes", "pad", "project", "labels", "patterns", "rest_modes", "rest")
+    __slots__ = ("modes", "pad", "project", "detected", "patterns", "rest_modes", "rest")
 
     def __init__(self, modes: tuple[ModeId, ...], detected: tuple[ModeId, ...]):
         self.modes, self.pad = _grown(modes, detected)
         index = {m: i for i, m in enumerate(self.modes)}
         det_idx = [index[m] for m in detected]
         self.project = _projector(det_idx)
-        self.labels = [m.label() for m in detected]
-        self.patterns: dict[tuple, tuple[tuple[str, int], ...]] = {}
+        self.detected = detected
+        self.patterns: dict[tuple, tuple[tuple[ModeId, int], ...]] = {}
         rest_idx = sorted(set(range(len(self.modes))) - set(det_idx))
         self.rest_modes, self.rest = tuple(self.modes[i] for i in rest_idx), _projector(rest_idx)
 
@@ -554,9 +558,11 @@ class _MeasureLayout:
 def measure_all(state: FockState, detected: Sequence[ModeId], keep_posterior: bool = False) -> list[OutcomeRecord]:
     """Enumerate photon-number patterns over the detected modes.
 
-    Undetected modes (including every sink) are marginalized.  Posteriors
-    are built only on request (``keep_posterior``): each is the renormalized
-    conditional state with the detected modes projected out.
+    Each record's pattern is the ``(ModeId, count)`` pairs of the detected
+    modes that clicked, in the order of ``detected``.  Undetected modes
+    (including every sink) are marginalized.  Posteriors are built only on
+    request (``keep_posterior``): each is the renormalized conditional state
+    with the detected modes projected out.
     """
     layout = _layout(_MeasureLayout, state.modes, tuple(detected))
     terms = _padded(state.terms, layout.pad)
@@ -575,7 +581,7 @@ def measure_all(state: FockState, detected: Sequence[ModeId], keep_posterior: bo
         prob = sum(abs(a) ** 2 for a in groups[key])
         pattern = patterns.get(key)
         if pattern is None:
-            pattern = patterns[key] = tuple((label, n) for label, n in zip(layout.labels, key) if n)
+            pattern = patterns[key] = tuple((m, n) for m, n in zip(layout.detected, key) if n)
         post = None
         if keep_posterior and prob > 0.0:
             post = FockState(layout.rest_modes, posts[key]).scaled(1.0 / math.sqrt(prob))

@@ -147,10 +147,11 @@ def run_router(phi: float, od_b: float = math.inf, n_photons: int = 2, phi1: flo
     medium = _medium(phi, od_b, phi1, "diagonal", "same_polarization")
     state = FockState.from_occupations({ModeId("a", "+"): n_photons})
     state = apply_router(state, "a", "u", "w", medium, phi1)
+    single, pair = ModeId("u", "+"), ModeId("w", "+")
     probs: dict[tuple[int, int], float] = {}
-    for rec in measure_all(state, [ModeId("u", "+"), ModeId("w", "+")]):
+    for rec in measure_all(state, [single, pair]):
         counts = dict(rec.pattern)
-        key = (counts.get("u_+", 0), counts.get("w_+", 0))
+        key = (counts.get(single, 0), counts.get(pair, 0))
         probs[key] = probs.get(key, 0.0) + rec.probability
     return probs
 
@@ -158,12 +159,8 @@ def run_router(phi: float, od_b: float = math.inf, n_photons: int = 2, phi1: flo
 # --------------------------------------------------------- Bell measurement
 
 _BM_PORTS = ("u", "w", "p", "q")  # u, p: single-photon ports; w, q: pair ports
-_SINGLE_PORTS = ("u", "p")
-
-
-def _bm_detectors(extra: tuple[str, ...] = ()) -> list[ModeId]:
-    ports = _BM_PORTS + extra
-    return [ModeId(port, pol) for port in ports for pol in ("H", "V")]
+_SINGLE_PORTS = {"u", "p"}
+_ANCILLA = "anc"
 
 
 def _run_bm_circuit(
@@ -186,41 +183,33 @@ def _run_bm_circuit(
     state = apply_router(state, "d", "p", "q", medium, phi1)
     for port in _BM_PORTS:
         state = apply_rotation_45(state, port)
-    detected_spatials = _BM_PORTS + (("anc",) if ancilla else ())
+    detected_spatials = _BM_PORTS + ((_ANCILLA,) if ancilla else ())
     state = apply_detector_efficiency(state, detected_spatials, p_de)
-    return measure_all(state, _bm_detectors(("anc",) if ancilla else ()))
-
-
-def _port_counts(pattern: tuple[tuple[str, int], ...]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for label, n in pattern:
-        port = label.rsplit("_", 1)[0]
-        counts[port] = counts.get(port, 0) + n
-    return counts
+    return measure_all(state, [ModeId(sp, pol) for sp in detected_spatials for pol in ("H", "V")])
 
 
 # Detection patterns repeat from call to call (measure_all hands out the same
 # pattern tuples), so splitting off the ancilla is memoised; the bound keeps
 # memory flat.
 @lru_cache(maxsize=4096)
-def _split_ancilla(pattern: tuple[tuple[str, int], ...]) -> tuple[tuple, int, int]:
+def _split_ancilla(pattern: tuple[tuple[ModeId, int], ...]) -> tuple[tuple, int, int]:
     """The pattern without ancilla clicks, its click count, and the ancilla's click count."""
-    main = tuple(item for item in pattern if not item[0].startswith("anc"))
-    anc_clicks = sum(n for label, n in pattern if label.startswith("anc"))
+    main = tuple(item for item in pattern if item[0].spatial != _ANCILLA)
+    anc_clicks = sum(n for m, n in pattern if m.spatial == _ANCILLA)
     return main, sum(n for _, n in main), anc_clicks
 
 
 def _decision_table(
     dists: dict[str, dict[tuple, float]],
-    refined: bool,
+    ancilla: bool,
 ) -> dict[tuple, str]:
     """Map each two-click detection pattern to a Bell-state verdict.
 
     A photon pair emerging at either single-photon router port is read as the
-    Bell state whose pair component never splits (verdict ``phi_minus``); the
-    refined table additionally trusts an orthogonally polarized pair at one
-    single-photon port as the ``psi_plus`` signature.  Every other pattern
-    gets a verdict only if exactly one input state can produce it.
+    Bell state whose pair component never splits (verdict ``phi_minus``); with
+    the ancilla witness an orthogonally polarized pair at one single-photon
+    port is additionally trusted as the ``psi_plus`` signature.  Every other
+    pattern gets a verdict only if exactly one input state can produce it.
     """
     patterns: set[tuple] = set()
     for dist in dists.values():
@@ -229,10 +218,10 @@ def _decision_table(
     for pattern in patterns:
         if sum(n for _, n in pattern) != 2:
             continue
-        counts = _port_counts(pattern)
-        if any(counts.get(sp, 0) == 2 for sp in _SINGLE_PORTS):
-            pols = {label.rsplit("_", 1)[1] for label, _ in pattern}
-            if refined and len(pols) == 2:
+        ports = {m.spatial for m, _ in pattern}
+        if len(ports) == 1 and ports <= _SINGLE_PORTS:
+            pols = {m.pol for m, _ in pattern}
+            if ancilla and len(pols) == 2:
                 table[pattern] = "psi_plus"
             else:
                 table[pattern] = "phi_minus"
@@ -243,53 +232,51 @@ def _decision_table(
     return table
 
 
-def _classify_bm(
-    name: str,
-    records: list[OutcomeRecord],
-    table: dict[tuple, str],
-    ancilla: bool,
+def _bell_measurement(
     protocol: str,
+    phi: float,
+    od_b: float,
+    p_de: float,
+    phi1: float,
+    input_state: str,
+    ancilla: bool,
 ) -> ProtocolResult:
-    succ = fp = herald = 0.0
-    outcomes = []
-    for rec in records:
-        main, main_clicks, anc_clicks = _split_ancilla(rec.pattern)
-        verdict = table.get(main) if main_clicks == 2 else None
-        if ancilla and anc_clicks != 2:
-            verdict = None
-        if verdict is None:
-            cls = "heralded_failure"
-            herald += rec.probability
-        elif verdict == name:
-            cls = f"success:{verdict}"
-            succ += rec.probability
-        else:
-            cls = f"false_positive:{verdict}"
-            fp += rec.probability
-        outcomes.append(OutcomeRecord(rec.pattern, rec.probability, cls))
-    return ProtocolResult(
-        protocol=protocol,
-        p_success=succ,
-        p_heralded_failure=herald,
-        p_false_positive=fp,
-        outcomes=outcomes,
-    )
+    """The two-router Bell measurement, with or without the two-photon witness ancilla.
 
-
-def _check_input_state(input_state: str) -> None:
-    """Refuse an ``input_state`` that is neither ``"average"`` nor a Bell state, before any circuit runs."""
+    A pattern enters the decision table, and can herald, only with two main
+    clicks and the ancilla clicking twice (with the witness) or not at all.
+    """
     if input_state != "average" and input_state not in BELL_STATES:
         raise ValueError(f"unknown input state {input_state!r}")
-
-
-def _average(results: dict[str, ProtocolResult], protocol: str) -> ProtocolResult:
+    witness = 2 if ancilla else 0
+    records = {s: _run_bm_circuit(s, phi, od_b, p_de, phi1, ancilla) for s in BELL_STATES}
+    dists: dict[str, dict[tuple, float]] = {}
+    for s, recs in records.items():
+        dist = dists[s] = {}
+        for r in recs:
+            main, _, anc_clicks = _split_ancilla(r.pattern)
+            if anc_clicks == witness:
+                dist[main] = dist.get(main, 0.0) + r.probability
+    table = _decision_table(dists, ancilla)
+    results: dict[str, ProtocolResult] = {}
+    for s, recs in records.items():
+        buckets = {"success": 0.0, "heralded_failure": 0.0, "false_positive": 0.0}  # ProtocolResult field order
+        outcomes = []
+        for r in recs:
+            main, main_clicks, anc_clicks = _split_ancilla(r.pattern)
+            verdict = table.get(main) if main_clicks == 2 and anc_clicks == witness else None
+            kind = "heralded_failure" if verdict is None else "success" if verdict == s else "false_positive"
+            buckets[kind] += r.probability
+            outcomes.append(OutcomeRecord(r.pattern, r.probability, kind if verdict is None else f"{kind}:{verdict}"))
+        results[s] = ProtocolResult(protocol, *buckets.values(), outcomes=outcomes)
+    if input_state != "average":
+        return results[input_state]
     n = len(results)
     return ProtocolResult(
         protocol=protocol,
         p_success=sum(r.p_success for r in results.values()) / n,
         p_heralded_failure=sum(r.p_heralded_failure for r in results.values()) / n,
         p_false_positive=sum(r.p_false_positive for r in results.values()) / n,
-        p_silent_loss=sum(r.p_silent_loss for r in results.values()) / n,
         per_state=results,
     )
 
@@ -306,15 +293,10 @@ def run_bell_measurement(
     ``input_state`` selects one Bell state or ``"average"`` for the uniform
     ensemble over all four; per-state results are attached either way.
     """
-    _check_input_state(input_state)
-    records = {s: _run_bm_circuit(s, phi, od_b, p_de, phi1) for s in BELL_STATES}
-    dists = {s: {r.pattern: r.probability for r in recs} for s, recs in records.items()}
-    table = _decision_table(dists, refined=False)
-    results = {s: _classify_bm(s, records[s], table, False, "bell_measurement") for s in BELL_STATES}
-    return _average(results, "bell_measurement") if input_state == "average" else results[input_state]
+    return _bell_measurement("bell_measurement", phi, od_b, p_de, phi1, input_state, ancilla=False)
 
 
-def _two_photon_ancilla(spatial: str = "anc") -> FockState:
+def _two_photon_ancilla(spatial: str = _ANCILLA) -> FockState:
     """Two photons bunched in one mode, symmetric over H and V."""
     mh, mv = ModeId(spatial, "H"), ModeId(spatial, "V")
     s = 1.0 / math.sqrt(2.0)
@@ -334,19 +316,7 @@ def run_evl_bell_measurement(
     instead of an ambiguity; both ancilla photons must be detected, which
     multiplies the success by the detection efficiency squared.
     """
-    _check_input_state(input_state)
-    records = {s: _run_bm_circuit(s, phi, od_b, p_de, 0.0, ancilla=True) for s in BELL_STATES}
-    dists: dict[str, dict[tuple, float]] = {}
-    for s, recs in records.items():
-        dist: dict[tuple, float] = {}
-        for r in recs:
-            main, _, anc_clicks = _split_ancilla(r.pattern)
-            if anc_clicks == 2:
-                dist[main] = dist.get(main, 0.0) + r.probability
-        dists[s] = dist
-    table = _decision_table(dists, refined=True)
-    results = {s: _classify_bm(s, records[s], table, True, "evl_bell_measurement") for s in BELL_STATES}
-    return _average(results, "evl_bell_measurement") if input_state == "average" else results[input_state]
+    return _bell_measurement("evl_bell_measurement", phi, od_b, p_de, 0.0, input_state, ancilla=True)
 
 
 # ------------------------------------------------------------------- GHZ
@@ -354,15 +324,15 @@ def run_evl_bell_measurement(
 _GHZ_TARGETS = {
     # herald detector -> (output spatial, amplitude sign between components,
     # polarization pairing of the two spectator photons)
-    "u_+": ("p", -1.0, "same"),
-    "u_-": ("p", 1.0, "same"),
-    "f_+": ("g", 1.0, "swapped"),
-    "f_-": ("g", -1.0, "swapped"),
+    ModeId("u", "+"): ("p", -1.0, "same"),
+    ModeId("u", "-"): ("p", 1.0, "same"),
+    ModeId("f", "+"): ("g", 1.0, "swapped"),
+    ModeId("f", "-"): ("g", -1.0, "swapped"),
 }
 
 
-def _ghz_target(label: str) -> tuple[str, FockState]:
-    out_sp, sign, pairing = _GHZ_TARGETS[label]
+def _ghz_target(herald: ModeId) -> tuple[str, FockState]:
+    out_sp, sign, pairing = _GHZ_TARGETS[herald]
     modes = (
         ModeId("r", "H"),
         ModeId("r", "V"),
@@ -407,8 +377,7 @@ def run_ghz(
     state = apply_rotation_45(state, "u")
     state = apply_rotation_45(state, "f")
     state = apply_detector_efficiency(state, ("u", "f"), p_de)
-    heralds = [ModeId("u", "+"), ModeId("u", "-"), ModeId("f", "+"), ModeId("f", "-")]
-    records = measure_all(state, heralds, keep_posterior=True)
+    records = measure_all(state, list(_GHZ_TARGETS), keep_posterior=True)
 
     succ = fp = herald_fail = 0.0
     fid_weighted = 0.0
@@ -418,8 +387,8 @@ def run_ghz(
             herald_fail += rec.probability
             outcomes.append(OutcomeRecord(rec.pattern, rec.probability, "heralded_failure"))
             continue
-        label = rec.pattern[0][0]
-        out_sp, target = _ghz_target(label)
+        herald = rec.pattern[0][0]
+        out_sp, target = _ghz_target(herald)
         guard_sp = "g" if out_sp == "p" else "p"
         post = rec.posterior
         post = apply_detector_efficiency(post, (guard_sp,), p_de)
@@ -444,7 +413,7 @@ def run_ghz(
                 fid = ket.fidelity(target)
                 succ += prob * p_filled
                 fid_weighted += prob * p_filled * fid
-                outcomes.append(OutcomeRecord(rec.pattern + sub.pattern, prob * p_filled, f"success:{label}"))
+                outcomes.append(OutcomeRecord(rec.pattern + sub.pattern, prob * p_filled, f"success:{herald.label()}"))
             if p_empty > PATTERN_TOL:
                 fp += prob * p_empty
                 outcomes.append(OutcomeRecord(rec.pattern + sub.pattern, prob * p_empty, "false_positive:empty_output"))

@@ -94,6 +94,13 @@ class TestSweep:
         assert code == 0
         assert out.strip().split("\n")[1].split(",")[4] == "ghz"
 
+    def test_config_file_unknown_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"protocl": "ghz", "phi": "pi/3"}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith("nlrouter: error: unknown config field 'protocl'") and err.count("\n") == 1
+
     def test_detuned_sweep(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--protocol", "bm", "--phi", "pi/3", "--odb", "30",
@@ -178,6 +185,8 @@ class TestExitCodes:
             ["opt-phase", "--odb", "0:10:3"],
             ["opt-phase", "--odb", "60:2000:x"],
             ["opt-phase", "--odb", "60:inf:3"],
+            ["opt-phase", "--odb", "1e-300:1e300:3"],
+            ["opt-phase", "--odb", "1e300:1e-300:3"],
             ["opt-phase", "--odb", "abc"],
             ["opt-phase", "--odb", "100", "--pde", "1.5"],
             ["circle", "--odb", "nan"],

@@ -485,7 +485,7 @@ def reference_measure_all(state, detected, keep_posterior=False):
     for key in sorted(groups):
         sub = groups[key]
         prob = sum(abs(a) ** 2 for a in sub.values())
-        pattern = tuple((m.label(), n) for m, n in zip(detected, key) if n)
+        pattern = tuple((m, n) for m, n in zip(detected, key) if n)
         post = None
         if keep_posterior and prob > 0.0:
             post = FockState(rest_modes, sub).scaled(1.0 / math.sqrt(prob))

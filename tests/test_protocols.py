@@ -1,6 +1,7 @@
 """Circuit-simulation tests: exact agreement with the closed forms plus the
 structural guarantees the heralding logic relies on."""
 
+import hashlib
 import json
 import math
 import os
@@ -210,6 +211,34 @@ class TestBitExactPins:
             (1, 0): "0x1.fe5f361e39ab2p-1",
         }
         assert sum(probs.values()).hex() == "0x1.ffffffffffffbp-1"
+
+    @pytest.mark.parametrize(
+        "run, digest",
+        [
+            (
+                lambda: run_bell_measurement(1.3, 120.0, 0.9, -1.3 / 11),
+                "c5c7661ebb86a0d7a451dbe1d38a6bc2c2c555b6baa6b94f09808bba025f7bcd",
+            ),
+            (
+                lambda: run_evl_bell_measurement(2.2, math.inf, 0.85),
+                "3be299b8e1ee27bdb72f1b24cf752da28b6fc7e0cc3d19b861b26171b4b941b1",
+            ),
+            (
+                lambda: run_ghz(PI / 3, 30.0, 0.98, delay_transmission=0.9),
+                "1215de34732186bac3eccdee016f342ffb077ce734e86db494f6e565d6df736a",
+            ),
+        ],
+        ids=["bm", "evl", "ghz"],
+    )
+    def test_outcome_table(self, run, digest):
+        # every outcome's input state, pattern, verdict and probability bits
+        r = run()
+        rows = [
+            repr((state, tuple((m.label(), n) for m, n in o.pattern), o.classification, o.probability.hex()))
+            for state, res in (r.per_state or {"": r}).items()
+            for o in res.outcomes
+        ]
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
 
 
 # (protocol, phi, od_b, p_de, phi1): every protocol, and p_de, phi1 and od_b
