@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--phi1-ratio", dest="phi1_ratio", help="single-photon detuning phase as a multiple of phi (default 0)")
     sweep.add_argument("--engine", choices=("formula", "simulator", "sim", "both"), help="evaluation engine (default formula)")
     sweep.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    sweep.add_argument("--config", help=f"JSON object file supplying any of the fields {', '.join(_CONFIG_FIELDS)}; command-line flags win, and any other key is a usage error")
+    sweep.add_argument("--config", help=f"JSON file whose object may set any of {', '.join(_CONFIG_FIELDS)} (command-line flags win); any other key is a usage error")
     sweep.add_argument("--out", help="output path (default stdout)")
     sweep.set_defaults(func=cmd_sweep)
 
