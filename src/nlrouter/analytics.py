@@ -24,6 +24,7 @@ __all__ = [
     "p_factorization",
     "p_router",
     "loglog_fit",
+    "log_grid",
     "OptimalPhaseResult",
     "find_optimal_phase",
     "ScalingFit",
@@ -155,6 +156,12 @@ def find_optimal_phase(protocol: str, od_b: float, p_de: float = 1.0) -> Optimal
     return OptimalPhaseResult(protocol=protocol, od_b=od_b, phi_opt=phi_opt, p_opt=f(phi_opt, od_b, p_de))
 
 
+def log_grid(start: float, stop: float, n: int) -> list[float]:
+    """``n >= 2`` log-spaced points from ``start`` to ``stop``, both ends exact."""
+    ratio = stop / start
+    return [start * ratio ** (i / (n - 1)) for i in range(n - 1)] + [stop]
+
+
 def loglog_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Least-squares (slope, intercept) of log y against log x.
 
@@ -193,7 +200,7 @@ def fit_scaling_exponent(
     """Fit 1 - p_opt(od_b) ~ prefactor * od_b**exponent on a log-spaced grid."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    ods = [od_min * (od_max / od_min) ** (i / (n_points - 1)) for i in range(n_points)]
+    ods = log_grid(od_min, od_max, n_points)
     slope, intercept = loglog_fit(ods, [1.0 - find_optimal_phase(protocol, od).p_opt for od in ods])
     if math.isnan(slope):
         raise ValueError("need two distinct optical depths with nonzero failure probability")

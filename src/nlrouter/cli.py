@@ -332,8 +332,7 @@ def _parse_od_range(text: str) -> list[float]:
     ratio = hi / lo
     if not 0.0 < ratio < math.inf:
         raise CliError(f"od_b range {text!r} has a stop/start ratio of {ratio:g}; it must be finite and nonzero", USAGE_ERROR)
-    n = _parse_count(parts[2], "od_b range")
-    return [lo * ratio ** (i / (n - 1)) for i in range(n)]
+    return analytics.log_grid(lo, hi, _parse_count(parts[2], "od_b range"))
 
 
 def cmd_opt_phase(args: argparse.Namespace) -> int:

@@ -10,13 +10,29 @@ ulp, so a change to this engine must keep every floating-point operation
 and its order (and the insertion order of every term dict) as it is.  Work
 that repeats is memoised instead.  Each element's layout (the grown
 registry, the positions it reads and writes, its projectors) is built once
-per circuit shape: one module-level table keys it by the registry and the
-element's structure (a linear map's source and target modes, a medium's arm
-and basis, the detected modes), never by coefficients, so every operating
-point of a sweep shares one entry.  The table is cleared past
-``_LAYOUT_LIMIT`` entries, which bounds its memory.  A linear map's layout
-also holds its added-photon plans, one per occupation pattern of the
-touched modes, for the last coefficient vector it saw.
+per circuit shape, keyed by the registry and the element's structure, never
+by coefficients.  A linear map's layout also holds its added-photon plans,
+one per occupation pattern of the touched modes, for the last coefficient
+vector it saw.
+
+Inside the engine a state is a signature, its ordered occupation keys
+packed once as ``bytes`` (one byte per mode: at most 255 photons) and
+interned, and a list of amplitudes; ``FockState.terms`` builds the dict
+only when something reads it.  On the second sight of an (element
+structure, input signature) pair an element records a tape of its term
+loop, in the loop's order: per input slot the output slots it adds to, with
+the plan monomial (linear map) or branch factors (medium, multiplied left
+to right) that scale it, or per pattern the slots it sums (measurement).
+That call and every later one replay the tape.  On a first sight a linear
+map runs its term loop, and the medium and the measurement replay a tape
+they do not keep, so a pair met once costs no memory.  Tapes hold
+structure, never coefficients.  The replay keeps the loop's two
+value-dependent branches: prune's ``abs(a) > PRUNE_TOL`` drops slots and
+keeps the order of the rest, and the medium skips a zero branch, so a slot
+sits where its first nonzero branch put it.  Layouts, signatures and tapes
+share one table, and tapes share one copy of each equal step; both are
+cleared once the table holds ``_LAYOUT_LIMIT`` entries, which bounds their
+memory together.
 
 Every element acts only on the polarization submodes of a spatial mode that
 hold photons (``_pol_variants``): a photon-free submode is left alone and
@@ -30,7 +46,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from operator import itemgetter, truediv
+from itertools import compress, repeat
+from operator import itemgetter, mul, truediv
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -55,16 +72,18 @@ _DIAG = ("+", "-")
 _BASIS_POLS = {"diagonal": _DIAG, "hv": _HV}
 
 
-def _padded(terms: dict[tuple, complex], pad: tuple) -> dict[tuple, complex]:
-    """``terms`` with each occupation tuple extended by ``pad`` (zeros for newly added modes)."""
-    return {occ + pad: a for occ, a in terms.items()} if pad else terms
+def _pruned(terms: dict, tol: float = PRUNE_TOL) -> dict:
+    """``terms`` itself, without the terms whose amplitude is not above ``tol`` (NaN included)."""
+    for occ in [occ for occ, a in terms.items() if not abs(a) > tol]:
+        del terms[occ]
+    return terms
 
 
-def _grown(modes: tuple[ModeId, ...], new: Iterable[ModeId]) -> tuple[tuple[ModeId, ...], tuple]:
-    """``modes`` followed by each of ``new`` it lacks (once, in listed order), and the zero pad for a term."""
+def _grown(modes: tuple[ModeId, ...], new: Iterable[ModeId]) -> tuple[tuple[ModeId, ...], int]:
+    """``modes`` followed by each of ``new`` it lacks (once, in listed order), and how many were added."""
     have = set(modes)
     missing = tuple(dict.fromkeys(m for m in new if m not in have))
-    return modes + missing, (0,) * len(missing)
+    return modes + missing, len(missing)
 
 
 class ModeId(NamedTuple):
@@ -92,15 +111,43 @@ class ModeId(NamedTuple):
 class FockState:
     """Sparse ket over an ordered registry of modes.
 
-    ``terms`` maps occupation tuples (aligned with ``modes``) to amplitudes.
+    ``terms`` maps occupation tuples (aligned with ``modes``) to amplitudes;
+    treat it as read-only.  An element's output builds it on first read.
     All mutating helpers return new instances; the registry only ever grows.
     """
 
-    __slots__ = ("modes", "terms")
+    __slots__ = ("modes", "_terms", "_sig", "_amps")
 
     def __init__(self, modes: Sequence[ModeId] = (), terms: Optional[Mapping[tuple, complex]] = None):
         self.modes: tuple[ModeId, ...] = tuple(modes)
-        self.terms: dict[tuple, complex] = dict(terms or {})
+        self._terms: Optional[dict[tuple, complex]] = dict(terms or {})
+        self._sig: Optional[_Signature] = None
+        self._amps: Optional[list[complex]] = None
+
+    @classmethod
+    def _of(cls, sig: _Signature, amps: list[complex]) -> "FockState":
+        state = cls.__new__(cls)
+        state.modes, state._terms, state._sig, state._amps = sig.modes, None, sig, amps
+        return state
+
+    @property
+    def terms(self) -> dict[tuple, complex]:
+        if self._terms is None:
+            self._terms = dict(zip(map(tuple, self._sig.keys()), self._amps))
+        return self._terms
+
+    def _packed(self) -> _Signature:
+        """The signature of ``terms``, whose amplitudes are then ``_amps``."""
+        if self._sig is None:
+            terms = self._terms
+            try:
+                packed = b"".join(map(bytes, terms))
+            except (TypeError, ValueError):
+                packed = None
+            if packed is None or len(packed) != len(self.modes) * len(terms):
+                raise ValueError("each occupation must hold one count in 0..255 per registry mode")
+            self._sig, self._amps = _layout(_Signature, self.modes, packed, len(terms)), list(terms.values())
+        return self._sig
 
     # ---------------------------------------------------------------- basics
 
@@ -112,8 +159,9 @@ class FockState:
 
     def ensure_modes(self, new_modes: Iterable[ModeId]) -> "FockState":
         """Return an equivalent state whose registry includes ``new_modes``."""
-        modes, pad = _grown(self.modes, new_modes)
-        return FockState(modes, _padded(self.terms, pad)) if pad else self
+        modes, grown = _grown(self.modes, new_modes)
+        pad = (0,) * grown
+        return FockState(modes, {occ + pad: a for occ, a in self.terms.items()}) if grown else self
 
     def norm_squared(self) -> float:
         return sum((a.real * a.real + a.imag * a.imag) for a in self.terms.values())
@@ -123,9 +171,8 @@ class FockState:
         return {sum(occ) for occ in self.terms}
 
     def prune(self, tol: float = PRUNE_TOL) -> "FockState":
-        pruned = FockState(self.modes, self.terms)
-        for occ in [occ for occ, a in self.terms.items() if not abs(a) > tol]:
-            del pruned.terms[occ]
+        pruned = FockState(self.modes)
+        pruned._terms = _pruned(dict(self.terms), tol)
         return pruned
 
     def scaled(self, factor: complex) -> "FockState":
@@ -172,19 +219,93 @@ class FockState:
         return " + ".join(parts) or "0"
 
 
+# ------------------------------------------------------ layouts and tapes
+
+# Layouts, signatures and tapes (see the module docstring).  Keys never hold
+# coefficients: a random p_de per call would make a new entry per call.
+_LAYOUT_LIMIT = 4096
+_LAYOUTS: dict[tuple, object] = {}
+_SEEN = object()  # a tape key met once; its next sight keeps the tape
+_STEPS: dict[tuple, tuple] = {}  # one copy of each tape step, shared by every tape
+
+
+def _remember(key: tuple, value: object) -> object:
+    if len(_LAYOUTS) >= _LAYOUT_LIMIT:
+        _LAYOUTS.clear()
+        _STEPS.clear()
+    _LAYOUTS[key] = value
+    return value
+
+
+def _layout(build: Callable, *shape):
+    """``build(*shape)``, made once per shape: a registry and an element's structure."""
+    key = (build, *shape)
+    layout = _LAYOUTS.get(key)
+    return _remember(key, build(*shape)) if layout is None else layout
+
+
+def _tape(key: tuple, record: Callable[[], tuple]) -> Optional[tuple]:
+    """The tape under ``key``, made by ``record()`` on the key's second sight; None on its first."""
+    tape = _LAYOUTS.get(key)
+    if tape is None:
+        _remember(key, _SEEN)
+    elif tape is _SEEN:
+        tape = _remember(key, record())
+    return tape
+
+
+class _Signature:
+    """The ordered occupation keys of ``count`` terms on ``modes``, packed one byte per mode."""
+
+    __slots__ = ("modes", "packed", "count")
+
+    def __init__(self, modes: tuple[ModeId, ...], packed: bytes, count: int):
+        self.modes, self.packed, self.count = modes, packed, count
+
+    def keys(self) -> list[bytes]:
+        w, p = len(self.modes), self.packed
+        return [p[i * w : i * w + w] for i in range(self.count)]
+
+
+def _signature(modes: tuple[ModeId, ...], keys: Sequence[bytes]) -> _Signature:
+    return _layout(_Signature, modes, b"".join(keys), len(keys))
+
+
+def _subset(sig: _Signature, slots: tuple[int, ...]) -> _Signature:
+    keys = sig.keys()
+    return _signature(sig.modes, [keys[i] for i in slots])
+
+
+def _replayed(sig: _Signature, amps: list[complex]) -> FockState:
+    """A tape's output: the slots whose amplitude is above ``PRUNE_TOL``, as prune keeps terms, in slot order."""
+    if all(map(PRUNE_TOL.__lt__, map(abs, amps))):
+        return FockState._of(sig, amps)
+    above = list(map(PRUNE_TOL.__lt__, map(abs, amps)))
+    return FockState._of(_layout(_subset, sig, tuple(compress(range(len(amps)), above))), list(compress(amps, above)))
+
+
+def _moved(occ: bytes, changes: tuple) -> bytes:
+    """``occ`` with each ``index, count`` pair of ``changes`` written in."""
+    final = bytearray(occ)
+    it = iter(changes)
+    for j, n in zip(it, it):
+        final[j] = n
+    return bytes(final)
+
+
 # ------------------------------------------------------------------ channels
 
 
-def _projector(idx: Sequence[int]) -> Callable[[tuple], tuple]:
-    """C-level ``tuple(occ[i] for i in idx)``: itemgetter, or a slice for 0 or 1 index."""
+def _projector(idx: Sequence[int]) -> Callable[[bytes], Sequence[int]]:
+    """C-level ``occ[i] for i in idx``: itemgetter, or a slice for 0 or 1 index."""
     if len(idx) > 1:
         return itemgetter(*idx)
     return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
 
 
-def _linear_plan(local: tuple, mapped: list[tuple[int, list[tuple[int, complex]]]], touched: list[int]) -> tuple[list, list]:
+def _linear_plan(local: Sequence[int], mapped: list[tuple[int, list[tuple[int, complex]]]], touched: list[int]) -> tuple[list, list]:
     """The map of every term whose ``touched`` entries (ascending) read ``local``: the ``sqrt(n!)``
-    divisors, and per added-photon monomial its ``(index, count)`` changes, coefficient and factor."""
+    divisors, and per added-photon monomial its changes (flat ``index, count, ...``), coefficient and factor."""
     base = list(local)
     divisors = []
     # polynomial over added photons: sorted ((target, count), ...) -> coeff;
@@ -211,25 +332,25 @@ def _linear_plan(local: tuple, mapped: list[tuple[int, list[tuple[int, complex]]
         for j, extra in add:
             final[j] += extra
             factor *= math.sqrt(math.factorial(final[j]) / math.factorial(base[j]))
-        monomials.append(([(touched[k], n) for k, n in enumerate(final) if n != local[k]], coeff, factor))
+        changes = []
+        for k, n in enumerate(final):
+            if n != local[k]:
+                changes += touched[k], n
+        monomials.append((tuple(changes), coeff, factor))
     return divisors, monomials
 
 
-# The layout table (see the module docstring).  Keys never hold coefficients:
-# a random p_de per call would make a new entry per call.
-_LAYOUT_LIMIT = 4096
-_LAYOUTS: dict[tuple, object] = {}
+class _Plans(dict):
+    """``{local pattern: plan}`` for one coefficient vector, each plan made on first use."""
 
+    __slots__ = ("mapped", "touched")
 
-def _layout(build: Callable, *shape):
-    """``build(*shape)``, made once per shape: a registry and an element's structure."""
-    key = (build, *shape)
-    layout = _LAYOUTS.get(key)
-    if layout is None:
-        if len(_LAYOUTS) >= _LAYOUT_LIMIT:
-            _LAYOUTS.clear()
-        layout = _LAYOUTS[key] = build(*shape)
-    return layout
+    def __init__(self, mapped: list, touched: list[int]):
+        self.mapped, self.touched = mapped, touched
+
+    def __missing__(self, local: Sequence[int]) -> tuple:
+        plan = self[local] = _linear_plan(local, self.mapped, self.touched)
+        return plan
 
 
 class _LinearLayout:
@@ -240,15 +361,46 @@ class _LinearLayout:
     def __init__(self, modes: tuple[ModeId, ...], structure: tuple[tuple[ModeId, tuple[ModeId, ...]], ...]):
         sources = [m for m, _ in structure]
         targets = [t for _, outs in structure for t in outs]
-        self.modes, self.pad = _grown(modes, sources + targets)
+        self.modes, grown = _grown(modes, sources + targets)
+        self.pad = bytes(grown)
         index = {m: i for i, m in enumerate(self.modes)}
         self.touched = sorted({index[m] for m in sources} | {index[t] for t in targets})
         pos = {self.modes[i]: k for k, i in enumerate(self.touched)}
         self.shape = [(pos[m], [pos[t] for t in outs]) for m, outs in structure]
         self.project = _projector(self.touched)
-        # (coefficients, mapped, {local pattern: plan}), replaced whole so that a
-        # call never reads plans made for other coefficients
-        self.plans: tuple[tuple, list, dict] = ((), [], {})
+        # (coefficients, their plans), replaced whole so that a call never reads
+        # plans made for other coefficients
+        self.plans: tuple[tuple, _Plans] = ((), _Plans([], []))
+
+    def planner(self, mapping: Mapping[ModeId, Sequence[tuple[ModeId, complex]]], coeffs: tuple) -> _Plans:
+        """The plans for the coefficients of ``mapping``."""
+        known, plans = self.plans
+        # a plan's coefficients are sums that start at 0.0j, so coefficients equal
+        # under == (0.0 and -0.0 alike) give bit-identical plans
+        if known != coeffs:
+            mapped = [(i, [(j, c) for j, (_, c) in zip(js, outs)]) for (i, js), outs in zip(self.shape, mapping.values())]
+            plans = _Plans(mapped, self.touched)
+            self.plans = (coeffs, plans)
+        return plans
+
+
+def _linear_tape(sig: _Signature, structure: tuple, mapping: Mapping, coeffs: tuple) -> tuple:
+    """(layout, local patterns, per input slot the output slot of each monomial of its pattern followed
+    by the pattern's index, output signature).  A pattern's monomials do not depend on the coefficients."""
+    layout = _layout(_LinearLayout, sig.modes, structure)
+    plans = layout.planner(mapping, coeffs)
+    slots: dict[bytes, int] = {}
+    patterns: dict[Sequence[int], int] = {}
+    steps = []
+    for occ in sig.keys():
+        occ += layout.pad
+        local = layout.project(occ)
+        local = _STEPS.setdefault(local, local)
+        divisors, monomials = plans[local]
+        keys = [_moved(occ, changes) for changes, _, _ in monomials] if divisors else [occ]
+        step = (*[slots.setdefault(k, len(slots)) for k in keys], patterns.setdefault(local, len(patterns)))
+        steps.append(_STEPS.setdefault(step, step))
+    return layout, tuple(patterns), tuple(steps), _signature(layout.modes, list(slots))
 
 
 def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[ModeId, complex]]]) -> FockState:
@@ -258,42 +410,48 @@ def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[
     operators; occupation factorials are handled so normalized kets map to
     normalized kets whenever the single-photon matrix is an isometry.
     """
-    layout = _layout(_LinearLayout, state.modes, tuple((m, tuple(t for t, _ in outs)) for m, outs in mapping.items()))
+    structure = tuple((m, tuple(t for t, _ in outs)) for m, outs in mapping.items())
     coeffs = tuple(c for outs in mapping.values() for _, c in outs)
-    known, mapped, plans = layout.plans
-    # a plan's coefficients are sums that start at 0.0j, so coefficients equal
-    # under == (0.0 and -0.0 alike) give bit-identical plans
-    if known != coeffs:
-        mapped = [(i, [(j, c) for j, (_, c) in zip(js, outs)]) for (i, js), outs in zip(layout.shape, mapping.values())]
-        plans = {}
-        layout.plans = (coeffs, mapped, plans)
-    terms = _padded(state.terms, layout.pad)
-    project, touched = layout.project, layout.touched
-    new_terms: dict[tuple, complex] = {}
-    for occ, amp in terms.items():
-        local = project(occ)
-        divisors, monomials = plans.get(local) or plans.setdefault(local, _linear_plan(local, mapped, touched))
-        if not divisors:
-            new_terms[occ] = new_terms.get(occ, 0.0j) + amp
-            continue
-        amp_eff = reduce(truediv, divisors, amp)  # amp / d1 / d2 ..., in order
-        for changes, coeff, factor in monomials:
-            final = list(occ)
-            for j, n in changes:
-                final[j] = n
-            key = tuple(final)
-            new_terms[key] = new_terms.get(key, 0.0j) + amp_eff * coeff * factor
-    return FockState(layout.modes, new_terms).prune()
+    sig = state._packed()
+    tape = _tape((_apply_linear_map, sig, structure), lambda: _linear_tape(sig, structure, mapping, coeffs))
+    if tape is None:  # first sight: the term loop, whose operations a tape would hold
+        layout = _layout(_LinearLayout, sig.modes, structure)
+        plans = layout.planner(mapping, coeffs)
+        new_terms: dict[bytes, complex] = {}
+        for occ, amp in zip(sig.keys(), state._amps):
+            occ += layout.pad
+            divisors, monomials = plans[layout.project(occ)]
+            if not divisors:
+                new_terms[occ] = new_terms.get(occ, 0.0j) + amp
+                continue
+            amp_eff = reduce(truediv, divisors, amp)  # amp / d1 / d2 ..., in order
+            for changes, coeff, factor in monomials:
+                k = _moved(occ, changes)
+                new_terms[k] = new_terms.get(k, 0.0j) + amp_eff * coeff * factor
+        _pruned(new_terms)
+        return FockState._of(_signature(layout.modes, list(new_terms)), list(new_terms.values()))
+    layout, patterns, steps, out_sig = tape
+    plans = list(map(layout.planner(mapping, coeffs).__getitem__, patterns))
+    out = [0.0j] * out_sig.count
+    for amp, step in zip(state._amps, steps):
+        divisors, monomials = plans[step[-1]]
+        if divisors:
+            amp = reduce(truediv, divisors, amp)
+            for j, (_, coeff, factor) in zip(step, monomials):  # stops before the pattern index
+                out[j] += amp * coeff * factor
+        else:
+            out[step[0]] += amp
+    return _replayed(out_sig, out)
 
 
-def _spatial_columns(modes: tuple[ModeId, ...], spatial: str) -> list[tuple[Optional[str], Callable]]:
-    return [(m.pol, itemgetter(i)) for i, m in enumerate(modes) if m.spatial == spatial and not m.sink]
+def _sig_pols(sig: _Signature, spatial: str) -> list[Optional[str]]:
+    w, p = len(sig.modes), sig.packed
+    return sorted({m.pol for i, m in enumerate(sig.modes) if m.spatial == spatial and not m.sink and any(p[i::w])}, key=str)
 
 
 def _pol_variants(state: FockState, spatial: str) -> list[Optional[str]]:
     """The polarizations holding photons in ``spatial`` (sinks excluded), sorted: the submodes every element acts on."""
-    columns = _layout(_spatial_columns, state.modes, spatial)
-    return sorted({pol for pol, column in columns if any(map(column, state.terms))}, key=str)
+    return _layout(_sig_pols, state._packed(), spatial)
 
 
 def _spatial_map(state: FockState, pairs: Mapping[str, Sequence[tuple[str, complex]]]) -> FockState:
@@ -425,10 +583,62 @@ class _MediumLayout:
                     f"arm {arm} photon polarization {m.pol!r} is not in the medium's {basis} interaction basis"
                 )
         sinks = {(m.pol, k): ModeId(arm, m.pol, sink=True, tag=k) for m in arm_modes for k in ("single", "pair")}
-        self.modes, self.pad = _grown(modes, sinks.values())
+        self.modes, grown = _grown(modes, sinks.values())
+        self.pad = bytes(grown)
         index = {m: i for i, m in enumerate(self.modes)}
         self.idx = {m: index[m] for m in arm_modes}
         self.sidx = {key: index[m] for key, m in sinks.items()}
+
+    def absorbed(self, occ: bytes, *moves: tuple[ModeId, str]) -> bytes:
+        """``occ`` with one photon of each ``(arm mode, kind)`` moved to that mode's ``kind`` sink."""
+        lost = bytearray(occ)
+        for m, kind in moves:
+            lost[self.idx[m]] -= 1
+            lost[self.sidx[(m.pol, kind)]] += 1
+        return bytes(lost)
+
+    def branches(self, occ: bytes, coupling: str) -> list[tuple[bytes, int]]:
+        """The Kraus branches of one padded term, in order: each output key and the index
+        of its factors in ``apply_nonlinear_medium``'s ``factors``."""
+        occupied = [(m, occ[i]) for m, i in self.idx.items() if occ[i]]
+        n = sum(c for _, c in occupied)
+        if n == 0:
+            return [(occ, 0)]
+        if n == 1:
+            (m, _), = occupied
+            return [(occ, 1), (self.absorbed(occ, (m, "single")), 2)]
+        if n != 2:
+            raise ValueError(f"nonlinear medium supports at most 2 photons per arm, got {n}")
+        if len(occupied) == 1 or coupling == "any":
+            out = [(occ, 3)]
+            for kind, same, cross in (("pair", 4, 5), ("single", 2, 6)):
+                if len(occupied) == 1:
+                    out.append((self.absorbed(occ, (occupied[0][0], kind)), same))
+                else:
+                    out += [(self.absorbed(occ, (m, kind)), cross) for m, _ in occupied]
+            return out
+        # two distinguishable-polarization photons, self-phase only:
+        # each passes the single-photon channel independently
+        (ma, _), (mb, _) = occupied
+        return [
+            (occ, 7),
+            (self.absorbed(occ, (mb, "single")), 8),
+            (self.absorbed(occ, (ma, "single")), 8),
+            (self.absorbed(occ, (ma, "single"), (mb, "single")), 9),
+        ]
+
+
+def _medium_tape(layout: _MediumLayout, sig: _Signature, coupling: str) -> tuple:
+    """(output signature, per input slot the output slot and factors of each branch), or
+    (None, None) when no arm mode is in the registry."""
+    if not layout.idx:
+        return None, None
+    slots: dict[bytes, int] = {}
+    steps = []
+    for occ in sig.keys():
+        step = tuple((slots.setdefault(k, len(slots)), f) for k, f in layout.branches(occ + layout.pad, coupling))
+        steps.append(_STEPS.setdefault(step, step))
+    return _signature(layout.modes, list(slots)), tuple(steps)
 
 
 def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec, sign: int = 1) -> FockState:
@@ -443,12 +653,6 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
     """
     if sign not in (-1, 1):
         raise ValueError("arm phase sign must be +1 or -1")
-    layout = _layout(_MediumLayout, state.modes, arm, spec.interaction_basis)
-    if not layout.idx:
-        return state
-    idx, sidx = layout.idx, layout.sidx
-    terms = _padded(state.terms, layout.pad)
-
     t1 = math.sqrt(1.0 - spec.tau1)
     t2 = math.sqrt(1.0 - spec.tau2)
     e1 = complex(math.cos(sign * spec.phi1), math.sin(sign * spec.phi1))
@@ -456,51 +660,30 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
     r1 = math.sqrt(spec.tau1)
     r2 = math.sqrt(spec.tau2)
     w = 1.0 / math.sqrt(2.0)  # a cross-polarized blockaded pair loses either photon
+    k = t1 * r2 * e1  # a blockaded pair loses its second photon
+    # a branch's amplitude is the term's times its factors, left to right
+    factors = ((), (t1, e1), (r1,), (t1, t2, e12), (k,), (k, w), (r1, w), ((t1 * e1) ** 2,), (t1, e1, r1), (r1, r1))
 
-    new_terms: dict[tuple, complex] = {}
+    sig = state._packed()
+    basis, coupling = spec.interaction_basis, spec.pair_coupling
+    key = (apply_nonlinear_medium, sig, arm, basis, coupling)
 
-    def put(occ: tuple, amp: complex) -> None:
-        if amp != 0.0:
-            new_terms[occ] = new_terms.get(occ, 0.0j) + amp
+    def record() -> tuple:
+        return _medium_tape(_layout(_MediumLayout, sig.modes, arm, basis), sig, coupling)
 
-    def absorbed(occ: tuple, *moves: tuple[ModeId, str]) -> tuple:
-        """``occ`` with one photon of each ``(arm mode, kind)`` moved to that mode's ``kind`` sink."""
-        lost = list(occ)
-        for m, kind in moves:
-            lost[idx[m]] -= 1
-            lost[sidx[(m.pol, kind)]] += 1
-        return tuple(lost)
-
-    for occ, amp in terms.items():
-        occupied = [(m, occ[i]) for m, i in idx.items() if occ[i]]
-        n = sum(c for _, c in occupied)
-        if n == 0:
-            put(occ, amp)
-        elif n == 1:
-            (m, _), = occupied
-            put(occ, amp * t1 * e1)
-            put(absorbed(occ, (m, "single")), amp * r1)
-        elif n == 2:
-            same_pol = len(occupied) == 1
-            if same_pol or spec.pair_coupling == "any":
-                put(occ, amp * t1 * t2 * e12)
-                for kind, amp_k in (("pair", t1 * r2 * e1), ("single", r1)):  # put drops a zero branch
-                    if same_pol:
-                        put(absorbed(occ, (occupied[0][0], kind)), amp * amp_k)
-                    else:
-                        for m, _ in occupied:
-                            put(absorbed(occ, (m, kind)), amp * amp_k * w)
-            else:
-                # two distinguishable-polarization photons, self-phase only:
-                # each passes the single-photon channel independently
-                (ma, _), (mb, _) = occupied
-                put(occ, amp * (t1 * e1) ** 2)
-                for lose in (mb, ma):
-                    put(absorbed(occ, (lose, "single")), amp * t1 * e1 * r1)
-                put(absorbed(occ, (ma, "single"), (mb, "single")), amp * r1 * r1)
-        else:
-            raise ValueError(f"nonlinear medium supports at most 2 photons per arm, got {n}")
-    return FockState(layout.modes, new_terms).prune()
+    out_sig, steps = _tape(key, record) or record()
+    if steps is None:
+        return state
+    out: dict[int, complex] = {}
+    for amp, step in zip(state._amps, steps):
+        for j, f in step:
+            v = reduce(mul, factors[f], amp)
+            if v != 0.0:  # a zero branch is never put, so a slot sits where its first nonzero branch puts it
+                out[j] = out.get(j, 0.0j) + v
+    slots = tuple(out)
+    if slots != tuple(range(out_sig.count)):
+        out_sig = _layout(_subset, out_sig, slots)
+    return _replayed(out_sig, list(out.values()))
 
 
 def apply_detector_efficiency(state: FockState, spatials: Sequence[str], p_de: float) -> FockState:
@@ -540,19 +723,38 @@ class OutcomeRecord:
 
 
 class _MeasureLayout:
-    """Projections of one registry onto one detected-mode list, and each projected key's pattern."""
+    """Projections of one registry onto one detected-mode list."""
 
     __slots__ = ("modes", "pad", "project", "detected", "patterns", "rest_modes", "rest")
 
     def __init__(self, modes: tuple[ModeId, ...], detected: tuple[ModeId, ...]):
-        self.modes, self.pad = _grown(modes, detected)
+        self.modes, grown = _grown(modes, detected)
+        self.pad = bytes(grown)
         index = {m: i for i, m in enumerate(self.modes)}
         det_idx = [index[m] for m in detected]
         self.project = _projector(det_idx)
         self.detected = detected
-        self.patterns: dict[tuple, tuple[tuple[ModeId, int], ...]] = {}
+        self.patterns: dict[Sequence[int], tuple[tuple[ModeId, int], ...]] = {}
         rest_idx = sorted(set(range(len(self.modes))) - set(det_idx))
         self.rest_modes, self.rest = tuple(self.modes[i] for i in rest_idx), _projector(rest_idx)
+
+
+def _measure_tape(layout: _MeasureLayout, sig: _Signature, keep_posterior: bool) -> tuple:
+    """Per detected key, in sorted order: its pattern, the input slots it sums (in order) and,
+    with ``keep_posterior``, the signature of their undetected parts."""
+    keys = [occ + layout.pad for occ in sig.keys()]
+    groups: dict[Sequence[int], list[int]] = defaultdict(list)
+    for i, occ in enumerate(keys):
+        groups[layout.project(occ)].append(i)
+    tape = []
+    for key in sorted(groups):
+        slots = tuple(groups[key])
+        post = _signature(layout.rest_modes, [bytes(layout.rest(keys[i])) for i in slots]) if keep_posterior else None
+        pattern = layout.patterns.get(key)
+        if pattern is None:  # shared by every tape on this layout
+            pattern = layout.patterns[key] = tuple((m, n) for m, n in zip(layout.detected, key) if n)
+        tape.append((pattern, _STEPS.setdefault(slots, slots), post))
+    return tuple(tape)
 
 
 def measure_all(state: FockState, detected: Sequence[ModeId], keep_posterior: bool = False) -> list[OutcomeRecord]:
@@ -564,26 +766,22 @@ def measure_all(state: FockState, detected: Sequence[ModeId], keep_posterior: bo
     request (``keep_posterior``): each is the renormalized conditional state
     with the detected modes projected out.
     """
-    layout = _layout(_MeasureLayout, state.modes, tuple(detected))
-    terms = _padded(state.terms, layout.pad)
-    project = layout.project
-    groups: dict[tuple, list[complex]] = defaultdict(list)
-    for occ, amp in terms.items():
-        groups[project(occ)].append(amp)
-    if keep_posterior:
-        rest = layout.rest
-        posts: dict[tuple, dict[tuple, complex]] = defaultdict(dict)
-        for occ, amp in terms.items():
-            posts[project(occ)][rest(occ)] = amp
+    detected = tuple(detected)
+    sig = state._packed()
+    key = (measure_all, sig, detected, keep_posterior)
+
+    def record() -> tuple:
+        return _measure_tape(_layout(_MeasureLayout, sig.modes, detected), sig, keep_posterior)
+
+    tape = _tape(key, record) or record()
+    amps = state._amps
     records = []
-    patterns = layout.patterns
-    for key in sorted(groups):
-        prob = sum(abs(a) ** 2 for a in groups[key])
-        pattern = patterns.get(key)
-        if pattern is None:
-            pattern = patterns[key] = tuple((m, n) for m, n in zip(layout.detected, key) if n)
+    for pattern, slots, post_sig in tape:
+        group = [amps[i] for i in slots]
+        prob = sum(map(pow, map(abs, group), repeat(2)))  # abs(a) ** 2, summed in order
         post = None
         if keep_posterior and prob > 0.0:
-            post = FockState(layout.rest_modes, posts[key]).scaled(1.0 / math.sqrt(prob))
+            factor = 1.0 / math.sqrt(prob)
+            post = FockState._of(post_sig, [a * factor for a in group])
         records.append(OutcomeRecord(pattern=pattern, probability=prob, posterior=post))
     return records

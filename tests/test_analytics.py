@@ -11,6 +11,7 @@ import pytest
 from nlrouter.analytics import (
     find_optimal_phase,
     fit_scaling_exponent,
+    log_grid,
     p_bell_measurement,
     p_cnot,
     p_evl_bell_measurement,
@@ -101,3 +102,11 @@ class TestScalingFits:
     def test_single_point_grid_is_refused(self):
         with pytest.raises(ValueError, match="n_points must be >= 2"):
             fit_scaling_exponent("ghz", n_points=1)
+
+    @pytest.mark.parametrize("start, stop, n", [(60.0, 2000.0, 20), (2000.0, 60.0, 7), (1e-3, 7.5, 2), (15.0, 300.0, 4096)])
+    def test_log_grid_starts_and_stops_on_its_bounds(self, start, stop, n):
+        # 60 * (2000 / 60) ** 1.0 is 2000.0000000000002: the last point is stop itself
+        grid = log_grid(start, stop, n)
+        assert len(grid) == n
+        assert grid[0] == start and grid[-1] == stop
+        assert grid == sorted(grid, reverse=start > stop)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nlrouter import fock
 from nlrouter.fock import (
     FockState,
     OutcomeRecord,
@@ -530,3 +531,163 @@ def test_measure_all_is_bit_identical_to_reference(state, detected, keep_posteri
             assert o.posterior.modes == r.posterior.modes
             assert list(o.posterior.terms.items()) == list(r.posterior.terms.items())
 
+
+
+# ------------------------------------------------------------------- tapes
+
+
+def _outcome(run, state):
+    """What ``run`` makes of a fresh copy of ``state``: modes and items by float.hex, records or the error."""
+    try:
+        out = run(FockState(state.modes, state.terms))
+    except ValueError as exc:
+        return "raised", str(exc)
+    if isinstance(out, list):
+        return [(r.pattern, r.probability.hex(), r.posterior and (r.posterior.modes, _hex_items(r.posterior))) for r in out]
+    return out.modes, _hex_items(out)
+
+
+def assert_replay_matches_reference(run_a, run_b, ref_a, ref_b, state):
+    """``run_a`` and ``run_b`` are one element with two coefficient sets, ``ref_a`` and
+    ``ref_b`` its reference.  On an empty table, A's first sight records a tape and
+    drops it, B's second sight records it and keeps it, and A's third sight replays
+    it; each must give the reference's bits."""
+    fock._LAYOUTS.clear()
+    for run, ref in ((run_a, ref_a), (run_b, ref_b), (run_a, ref_a)):
+        assert _outcome(run, state) == _outcome(ref, state)
+
+
+_S = 1.0 / math.sqrt(2.0)
+_HOM = FockState((ModeId("a", "+"), ModeId("a", "-")), {(1, 1): 1.0 + 0.0j})  # |1,1> -> c,d cancels: pruned
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_two_mode_states(max_total=3), _outs, st.one_of(st.none(), _outs), amps)
+@example(_HOM, [(ModeId("c", "+"), _S), (ModeId("d", "+"), 1j * _S)], [(ModeId("d", "+"), _S), (ModeId("c", "+"), 1j * _S)], 0.5 - 0.25j)
+def test_linear_map_replay_is_bit_identical_to_dense_reference(state, outs_plus, outs_minus, z):
+    mapping = {ModeId("a", "+"): outs_plus}
+    if outs_minus is not None:
+        mapping[ModeId("a", "-")] = outs_minus
+    other = {m: [(t, c * z) for t, c in outs] for m, outs in mapping.items()}  # same structure
+    assert_replay_matches_reference(
+        lambda s: _apply_linear_map(s, mapping), lambda s: _apply_linear_map(s, other),
+        lambda s: dense_linear_map(s, mapping), lambda s: dense_linear_map(s, other), state,
+    )
+
+
+def reference_medium(state, arm, spec, sign=1):
+    """apply_nonlinear_medium as it stood before tapes, over the term dict: the
+    bit-exact reference for the medium's replay and for its term loop."""
+    arm_modes = [m for m in state.modes if m.spatial == arm and not m.sink]
+    if not arm_modes:
+        return state
+    sinks = {(m.pol, k): ModeId(arm, m.pol, sink=True, tag=k) for m in arm_modes for k in ("single", "pair")}
+    state = state.ensure_modes(sinks.values())
+    index = {m: i for i, m in enumerate(state.modes)}
+    idx = {m: index[m] for m in arm_modes}
+    sidx = {key: index[m] for key, m in sinks.items()}
+    t1, t2 = math.sqrt(1.0 - spec.tau1), math.sqrt(1.0 - spec.tau2)
+    e1 = complex(math.cos(sign * spec.phi1), math.sin(sign * spec.phi1))
+    e12 = complex(math.cos(sign * (spec.phi1 + spec.phi2)), math.sin(sign * (spec.phi1 + spec.phi2)))
+    r1, r2 = math.sqrt(spec.tau1), math.sqrt(spec.tau2)
+    w = 1.0 / math.sqrt(2.0)
+    new_terms = {}
+
+    def put(occ, amp):
+        if amp != 0.0:
+            new_terms[occ] = new_terms.get(occ, 0.0j) + amp
+
+    def absorbed(occ, *moves):
+        lost = list(occ)
+        for m, kind in moves:
+            lost[idx[m]] -= 1
+            lost[sidx[(m.pol, kind)]] += 1
+        return tuple(lost)
+
+    for occ, amp in state.terms.items():
+        occupied = [(m, occ[i]) for m, i in idx.items() if occ[i]]
+        n = sum(c for _, c in occupied)
+        if n == 0:
+            put(occ, amp)
+        elif n == 1:
+            (m, _), = occupied
+            put(occ, amp * t1 * e1)
+            put(absorbed(occ, (m, "single")), amp * r1)
+        elif n == 2:
+            same_pol = len(occupied) == 1
+            if same_pol or spec.pair_coupling == "any":
+                put(occ, amp * t1 * t2 * e12)
+                for kind, amp_k in (("pair", t1 * r2 * e1), ("single", r1)):
+                    if same_pol:
+                        put(absorbed(occ, (occupied[0][0], kind)), amp * amp_k)
+                    else:
+                        for m, _ in occupied:
+                            put(absorbed(occ, (m, kind)), amp * amp_k * w)
+            else:
+                (ma, _), (mb, _) = occupied
+                put(occ, amp * (t1 * e1) ** 2)
+                for lose in (mb, ma):
+                    put(absorbed(occ, (lose, "single")), amp * t1 * e1 * r1)
+                put(absorbed(occ, (ma, "single"), (mb, "single")), amp * r1 * r1)
+        else:
+            raise ValueError(f"nonlinear medium supports at most 2 photons per arm, got {n}")
+    return FockState(state.modes, new_terms).prune()
+
+
+_ARM = [ModeId("f", "+"), ModeId("f", "-")]
+_NEAR_ARM = [ModeId("f", "+", sink=True, tag="single"), ModeId("f", "-", sink=True, tag="pair"), ModeId("g", "+")]
+
+
+@st.composite
+def medium_inputs(draw, max_total=3):
+    """Up to three photons on the arm's two submodes, some of its sinks and another mode."""
+    modes = tuple(draw(st.permutations(_ARM + draw(st.lists(st.sampled_from(_NEAR_ARM), unique=True)))))
+    occ = st.lists(st.integers(0, max_total), min_size=len(modes), max_size=len(modes)).map(tuple)
+    occs = draw(st.lists(occ.filter(lambda o: 0 < sum(o) <= max_total), min_size=1, max_size=8, unique=True))
+    return FockState(modes, {o: draw(amps) for o in occs})
+
+
+_taus = st.one_of(st.just(0.0), st.floats(0.01, 0.99))
+_specs = st.builds(NonlinearMediumSpec, st.floats(-math.pi, math.pi), _taus, st.floats(-math.pi, math.pi), _taus)
+# the term loop drops a zero-amplitude term's branches, so the key (0, 0, 1)
+# comes before (0, 1, 0); a tape, recorded from the structure alone, puts it
+# after; with a zero factor, a NaN amplitude still puts its branch
+_ZERO_FIRST = FockState((_ARM[0], _NEAR_ARM[0], ModeId("g", "+")), {(1, 0, 0): 0j, (0, 0, 1): 0.6, (0, 1, 0): 0.8})
+_LOSSY = NonlinearMediumSpec(0.4, 0.3, 1.1, 0.2)
+_LOSSLESS = NonlinearMediumSpec(0.4, 0.0, 1.1, 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(medium_inputs(), _specs, _specs, st.sampled_from(["same_polarization", "any"]), st.sampled_from([-1, 1]))
+@example(_ZERO_FIRST, _LOSSY, _LOSSY, "same_polarization", 1)
+@example(FockState(_ZERO_FIRST.modes, {(1, 0, 0): complex("nan"), (0, 0, 1): 0.6, (0, 1, 0): 0.8}), _LOSSLESS, _LOSSLESS, "any", 1)
+def test_medium_replay_is_bit_identical_to_reference(state, spec_a, spec_b, coupling, sign):
+    spec_a, spec_b = (NonlinearMediumSpec(s.phi1, s.tau1, s.phi2, s.tau2, pair_coupling=coupling) for s in (spec_a, spec_b))
+    assert_replay_matches_reference(
+        lambda s: apply_nonlinear_medium(s, "f", spec_a, sign), lambda s: apply_nonlinear_medium(s, "f", spec_b, sign),
+        lambda s: reference_medium(s, "f", spec_a, sign), lambda s: reference_medium(s, "f", spec_b, sign), state,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(few_photon_states(max_total=3), st.lists(st.sampled_from(_POOL + _ABSENT), max_size=4, unique=True), st.booleans(), amps)
+def test_measure_all_replay_is_bit_identical_to_reference(state, detected, keep_posterior, z):
+    assert_replay_matches_reference(
+        lambda s: measure_all(s, detected, keep_posterior), lambda s: measure_all(s.scaled(z), detected, keep_posterior),
+        lambda s: reference_measure_all(s, detected, keep_posterior),
+        lambda s: reference_measure_all(s.scaled(z), detected, keep_posterior), state,
+    )
+
+
+def test_terms_are_built_on_first_read_from_the_signature():
+    s = FockState.from_occupations({ModeId("a", "+"): 1, ModeId("b", "+"): 1})
+    out = apply_beamsplitter(s, "a", "b", "c", "d")
+    assert out._terms is None
+    assert all(type(occ) is tuple and len(occ) == len(out.modes) for occ in out.terms)
+    assert out.terms is out.terms
+
+
+@pytest.mark.parametrize("terms", [{(256, 0): 1.0}, {(-1, 1): 1.0}, {(1,): 1.0}, {(0.5, 0): 1.0}])
+def test_an_occupation_outside_one_byte_per_mode_is_refused(terms):
+    with pytest.raises(ValueError, match="0..255 per registry mode"):
+        apply_phase(FockState((ModeId("a", "+"), ModeId("b", "+")), terms), "a", 0.3)
