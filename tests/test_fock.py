@@ -549,9 +549,9 @@ def _outcome(run, state):
 
 def assert_replay_matches_reference(run_a, run_b, ref_a, ref_b, state):
     """``run_a`` and ``run_b`` are one element with two coefficient sets, ``ref_a`` and
-    ``ref_b`` its reference.  On an empty table, A's first sight records a tape and
-    drops it, B's second sight records it and keeps it, and A's third sight replays
-    it; each must give the reference's bits."""
+    ``ref_b`` its reference.  On an empty table, A's first sight runs the term loop
+    (a linear map) or a tape it does not keep, B's second sight records the tape and
+    replays it, and A's third sight replays it; each must give the reference's bits."""
     fock._LAYOUTS.clear()
     for run, ref in ((run_a, ref_a), (run_b, ref_b), (run_a, ref_a)):
         assert _outcome(run, state) == _outcome(ref, state)
