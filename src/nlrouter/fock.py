@@ -17,22 +17,23 @@ vector it saw.
 
 Inside the engine a state is a signature, its ordered occupation keys
 packed once as ``bytes`` (one byte per mode: at most 255 photons) and
-interned, and a list of amplitudes; ``FockState.terms`` builds the dict
-only when something reads it.  On the second sight of an (element
-structure, input signature) pair an element records a tape of its term
-loop, in the loop's order: per input slot the output slots it adds to, with
-the plan monomial (linear map) or branch factors (medium, multiplied left
-to right) that scale it, or per pattern the slots it sums (measurement).
-That call and every later one replay the tape.  On a first sight a linear
-map runs its term loop, and the medium and the measurement replay a tape
-they do not keep, so a pair met once costs no memory.  Tapes hold
-structure, never coefficients.  The replay keeps the loop's two
-value-dependent branches: prune's ``abs(a) > PRUNE_TOL`` drops slots and
-keeps the order of the rest, and the medium skips a zero branch, so a slot
-sits where its first nonzero branch put it.  Layouts, signatures and tapes
-share one table, and tapes share one copy of each equal step; both are
-cleared once the table holds ``_LAYOUT_LIMIT`` entries, which bounds their
-memory together.
+interned, and a list of amplitudes; ``FockState.terms``, a read-only view,
+builds its dict only when something reads it.  On the second sight of an
+(element structure, input signature) pair an element records a tape of its
+term loop, in the loop's order: per input slot the output slots it adds to,
+with the plan monomial (linear map) or branch factors (medium, multiplied
+left to right) that scale it, or per pattern the slots it sums
+(measurement).  Every later call replays the tape.  A linear map records
+while it runs its term loop on slots, and runs it without recording on a
+first sight; the medium and the measurement record first and replay the
+tape, which on a first sight they do not keep.  So a pair met once keeps no
+tape.  Tapes hold structure, never coefficients.  The replay keeps the
+loop's two value-dependent branches: prune's ``abs(a) > PRUNE_TOL`` drops
+slots and keeps the order of the rest, and the medium skips a zero branch,
+so a slot sits where its first nonzero branch put it.  Layouts, signatures
+and tapes share one table, and kept tapes share one copy of each equal
+step; both are cleared once the table holds ``_LAYOUT_LIMIT`` entries,
+which bounds their memory together.
 
 Every element acts only on the polarization submodes of a spatial mode that
 hold photons (``_pol_variants``): a photon-free submode is left alone and
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
 from operator import itemgetter, mul, truediv
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -70,13 +72,6 @@ PRUNE_TOL = 1e-15
 _HV = ("H", "V")
 _DIAG = ("+", "-")
 _BASIS_POLS = {"diagonal": _DIAG, "hv": _HV}
-
-
-def _pruned(terms: dict, tol: float = PRUNE_TOL) -> dict:
-    """``terms`` itself, without the terms whose amplitude is not above ``tol`` (NaN included)."""
-    for occ in [occ for occ, a in terms.items() if not abs(a) > tol]:
-        del terms[occ]
-    return terms
 
 
 def _grown(modes: tuple[ModeId, ...], new: Iterable[ModeId]) -> tuple[tuple[ModeId, ...], int]:
@@ -111,8 +106,8 @@ class ModeId(NamedTuple):
 class FockState:
     """Sparse ket over an ordered registry of modes.
 
-    ``terms`` maps occupation tuples (aligned with ``modes``) to amplitudes;
-    treat it as read-only.  An element's output builds it on first read.
+    ``terms`` is a read-only view that maps occupation tuples (aligned with
+    ``modes``) to amplitudes; an element's output builds it on first read.
     All mutating helpers return new instances; the registry only ever grows.
     """
 
@@ -120,7 +115,7 @@ class FockState:
 
     def __init__(self, modes: Sequence[ModeId] = (), terms: Optional[Mapping[tuple, complex]] = None):
         self.modes: tuple[ModeId, ...] = tuple(modes)
-        self._terms: Optional[dict[tuple, complex]] = dict(terms or {})
+        self._terms: Optional[Mapping[tuple, complex]] = MappingProxyType(dict(terms or {}))
         self._sig: Optional[_Signature] = None
         self._amps: Optional[list[complex]] = None
 
@@ -131,9 +126,9 @@ class FockState:
         return state
 
     @property
-    def terms(self) -> dict[tuple, complex]:
+    def terms(self) -> Mapping[tuple, complex]:
         if self._terms is None:
-            self._terms = dict(zip(map(tuple, self._sig.keys()), self._amps))
+            self._terms = MappingProxyType(dict(zip(map(tuple, self._sig.keys()), self._amps)))
         return self._terms
 
     def _packed(self) -> _Signature:
@@ -146,7 +141,9 @@ class FockState:
                 packed = None
             if packed is None or len(packed) != len(self.modes) * len(terms):
                 raise ValueError("each occupation must hold one count in 0..255 per registry mode")
-            self._sig, self._amps = _layout(_Signature, self.modes, packed, len(terms)), list(terms.values())
+            self._amps = list(terms.values())
+            # published last: another thread that sees the signature also sees its amplitudes
+            self._sig = _layout(_Signature, self.modes, packed, len(terms))
         return self._sig
 
     # ---------------------------------------------------------------- basics
@@ -172,7 +169,7 @@ class FockState:
 
     def prune(self, tol: float = PRUNE_TOL) -> "FockState":
         pruned = FockState(self.modes)
-        pruned._terms = _pruned(dict(self.terms), tol)
+        pruned._terms = MappingProxyType({occ: a for occ, a in self.terms.items() if abs(a) > tol})  # NaN dropped
         return pruned
 
     def scaled(self, factor: complex) -> "FockState":
@@ -226,7 +223,7 @@ class FockState:
 _LAYOUT_LIMIT = 4096
 _LAYOUTS: dict[tuple, object] = {}
 _SEEN = object()  # a tape key met once; its next sight keeps the tape
-_STEPS: dict[tuple, tuple] = {}  # one copy of each tape step, shared by every tape
+_STEPS: dict[tuple, tuple] = {}  # one copy of each step of a kept tape, shared by every kept tape
 
 
 def _remember(key: tuple, value: object) -> object:
@@ -244,13 +241,32 @@ def _layout(build: Callable, *shape):
     return _remember(key, build(*shape)) if layout is None else layout
 
 
-def _tape(key: tuple, record: Callable[[], tuple]) -> Optional[tuple]:
-    """The tape under ``key``, made by ``record()`` on the key's second sight; None on its first."""
+def _shared(step: tuple) -> tuple:
+    return _STEPS.setdefault(step, step)
+
+
+def _own(step: tuple) -> tuple:
+    return step
+
+
+def _sight(key: tuple) -> object:
+    """The tape kept under ``key``; else ``_SEEN`` on the key's second sight, whose call
+    keeps the tape it records, and None on its first, whose call keeps none."""
     tape = _LAYOUTS.get(key)
     if tape is None:
         _remember(key, _SEEN)
-    elif tape is _SEEN:
-        tape = _remember(key, record())
+    return tape
+
+
+def _tape(key: tuple, record: Callable[[Callable[[tuple], tuple]], tuple]) -> tuple:
+    """The tape under ``key``, made by ``record(share)``, which passes each step through ``share``:
+    on the key's first sight each step itself, and the tape is not kept; on its second
+    ``_STEPS``' copy, and the tape is kept for every later sight."""
+    tape = _sight(key)
+    if tape is None:
+        return record(_own)
+    if tape is _SEEN:
+        tape = _remember(key, record(_shared))
     return tape
 
 
@@ -282,6 +298,12 @@ def _replayed(sig: _Signature, amps: list[complex]) -> FockState:
         return FockState._of(sig, amps)
     above = list(map(PRUNE_TOL.__lt__, map(abs, amps)))
     return FockState._of(_layout(_subset, sig, tuple(compress(range(len(amps)), above))), list(compress(amps, above)))
+
+
+def _output(modes: tuple[ModeId, ...], keys: list[bytes], amps: list[complex]) -> FockState:
+    """The terms of ``keys`` whose amplitude is above ``PRUNE_TOL``, as prune keeps them, in order."""
+    above = list(map(PRUNE_TOL.__lt__, map(abs, amps)))
+    return FockState._of(_signature(modes, list(compress(keys, above))), list(compress(amps, above)))
 
 
 def _moved(occ: bytes, changes: tuple) -> bytes:
@@ -384,23 +406,44 @@ class _LinearLayout:
         return plans
 
 
-def _linear_tape(sig: _Signature, structure: tuple, mapping: Mapping, coeffs: tuple) -> tuple:
-    """(layout, local patterns, per input slot the output slot of each monomial of its pattern followed
-    by the pattern's index, output signature).  A pattern's monomials do not depend on the coefficients."""
-    layout = _layout(_LinearLayout, sig.modes, structure)
-    plans = layout.planner(mapping, coeffs)
+def _linear_run(layout: _LinearLayout, plans: _Plans, sig: _Signature, amps: list[complex], keep: bool) -> tuple:
+    """The term loop on slots: the output keys in order of first use, their amplitudes before
+    pruning and, with ``keep``, the tape (local patterns; per input slot the output slot of each
+    monomial of its pattern, then the pattern's index; output signature), else None.  A pattern's
+    monomials do not depend on the coefficients."""
     slots: dict[bytes, int] = {}
     patterns: dict[Sequence[int], int] = {}
     steps = []
-    for occ in sig.keys():
+    out: list[complex] = []
+    for occ, amp in zip(sig.keys(), amps):
         occ += layout.pad
         local = layout.project(occ)
-        local = _STEPS.setdefault(local, local)
         divisors, monomials = plans[local]
-        keys = [_moved(occ, changes) for changes, _, _ in monomials] if divisors else [occ]
-        step = (*[slots.setdefault(k, len(slots)) for k in keys], patterns.setdefault(local, len(patterns)))
-        steps.append(_STEPS.setdefault(step, step))
-    return layout, tuple(patterns), tuple(steps), _signature(layout.modes, list(slots))
+        if divisors:
+            amp = reduce(truediv, divisors, amp)  # amp / d1 / d2 ..., in order
+            step = []
+            for changes, coeff, factor in monomials:
+                k = _moved(occ, changes)
+                j = slots.get(k)
+                if j is None:
+                    j = slots[k] = len(out)
+                    out.append(0.0j + amp * coeff * factor)  # a slot starts at 0.0j, as in the replay
+                else:
+                    out[j] += amp * coeff * factor
+                step.append(j)
+        else:
+            j = slots.get(occ)
+            if j is None:
+                j = slots[occ] = len(out)
+                out.append(0.0j + amp)
+            else:
+                out[j] += amp
+            step = [j]
+        if keep:
+            step.append(patterns.setdefault(_shared(local), len(patterns)))
+            steps.append(_shared(tuple(step)))
+    keys = list(slots)
+    return keys, out, (tuple(patterns), tuple(steps), _signature(layout.modes, keys)) if keep else None
 
 
 def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[ModeId, complex]]]) -> FockState:
@@ -413,30 +456,23 @@ def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[
     structure = tuple((m, tuple(t for t, _ in outs)) for m, outs in mapping.items())
     coeffs = tuple(c for outs in mapping.values() for _, c in outs)
     sig = state._packed()
-    tape = _tape((_apply_linear_map, sig, structure), lambda: _linear_tape(sig, structure, mapping, coeffs))
-    if tape is None:  # first sight: the term loop, whose operations a tape would hold
-        layout = _layout(_LinearLayout, sig.modes, structure)
-        plans = layout.planner(mapping, coeffs)
-        new_terms: dict[bytes, complex] = {}
-        for occ, amp in zip(sig.keys(), state._amps):
-            occ += layout.pad
-            divisors, monomials = plans[layout.project(occ)]
-            if not divisors:
-                new_terms[occ] = new_terms.get(occ, 0.0j) + amp
-                continue
-            amp_eff = reduce(truediv, divisors, amp)  # amp / d1 / d2 ..., in order
-            for changes, coeff, factor in monomials:
-                k = _moved(occ, changes)
-                new_terms[k] = new_terms.get(k, 0.0j) + amp_eff * coeff * factor
-        _pruned(new_terms)
-        return FockState._of(_signature(layout.modes, list(new_terms)), list(new_terms.values()))
-    layout, patterns, steps, out_sig = tape
-    plans = list(map(layout.planner(mapping, coeffs).__getitem__, patterns))
+    layout = _layout(_LinearLayout, sig.modes, structure)
+    planner = layout.planner(mapping, coeffs)
+    key = (_apply_linear_map, sig, structure)
+    tape = _sight(key)
+    if tape is None or tape is _SEEN:  # the term loop, which records the tape on the second sight
+        keys, out, tape = _linear_run(layout, planner, sig, state._amps, keep=tape is _SEEN)
+        if tape is None:
+            return _output(layout.modes, keys, out)
+        _remember(key, tape)
+        return _replayed(tape[2], out)
+    patterns, steps, out_sig = tape
+    plans = list(map(planner.__getitem__, patterns))
     out = [0.0j] * out_sig.count
     for amp, step in zip(state._amps, steps):
         divisors, monomials = plans[step[-1]]
         if divisors:
-            amp = reduce(truediv, divisors, amp)
+            amp = reduce(truediv, divisors, amp)  # amp / d1 / d2 ..., in order
             for j, (_, coeff, factor) in zip(step, monomials):  # stops before the pattern index
                 out[j] += amp * coeff * factor
         else:
@@ -628,7 +664,7 @@ class _MediumLayout:
         ]
 
 
-def _medium_tape(layout: _MediumLayout, sig: _Signature, coupling: str) -> tuple:
+def _medium_tape(layout: _MediumLayout, sig: _Signature, coupling: str, share: Callable) -> tuple:
     """(output signature, per input slot the output slot and factors of each branch), or
     (None, None) when no arm mode is in the registry."""
     if not layout.idx:
@@ -637,7 +673,7 @@ def _medium_tape(layout: _MediumLayout, sig: _Signature, coupling: str) -> tuple
     steps = []
     for occ in sig.keys():
         step = tuple((slots.setdefault(k, len(slots)), f) for k, f in layout.branches(occ + layout.pad, coupling))
-        steps.append(_STEPS.setdefault(step, step))
+        steps.append(share(step))
     return _signature(layout.modes, list(slots)), tuple(steps)
 
 
@@ -668,10 +704,10 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
     basis, coupling = spec.interaction_basis, spec.pair_coupling
     key = (apply_nonlinear_medium, sig, arm, basis, coupling)
 
-    def record() -> tuple:
-        return _medium_tape(_layout(_MediumLayout, sig.modes, arm, basis), sig, coupling)
+    def record(share: Callable) -> tuple:
+        return _medium_tape(_layout(_MediumLayout, sig.modes, arm, basis), sig, coupling, share)
 
-    out_sig, steps = _tape(key, record) or record()
+    out_sig, steps = _tape(key, record)
     if steps is None:
         return state
     out: dict[int, complex] = {}
@@ -739,7 +775,7 @@ class _MeasureLayout:
         self.rest_modes, self.rest = tuple(self.modes[i] for i in rest_idx), _projector(rest_idx)
 
 
-def _measure_tape(layout: _MeasureLayout, sig: _Signature, keep_posterior: bool) -> tuple:
+def _measure_tape(layout: _MeasureLayout, sig: _Signature, keep_posterior: bool, share: Callable) -> tuple:
     """Per detected key, in sorted order: its pattern, the input slots it sums (in order) and,
     with ``keep_posterior``, the signature of their undetected parts."""
     keys = [occ + layout.pad for occ in sig.keys()]
@@ -753,7 +789,7 @@ def _measure_tape(layout: _MeasureLayout, sig: _Signature, keep_posterior: bool)
         pattern = layout.patterns.get(key)
         if pattern is None:  # shared by every tape on this layout
             pattern = layout.patterns[key] = tuple((m, n) for m, n in zip(layout.detected, key) if n)
-        tape.append((pattern, _STEPS.setdefault(slots, slots), post))
+        tape.append((pattern, share(slots), post))
     return tuple(tape)
 
 
@@ -770,10 +806,10 @@ def measure_all(state: FockState, detected: Sequence[ModeId], keep_posterior: bo
     sig = state._packed()
     key = (measure_all, sig, detected, keep_posterior)
 
-    def record() -> tuple:
-        return _measure_tape(_layout(_MeasureLayout, sig.modes, detected), sig, keep_posterior)
+    def record(share: Callable) -> tuple:
+        return _measure_tape(_layout(_MeasureLayout, sig.modes, detected), sig, keep_posterior, share)
 
-    tape = _tape(key, record) or record()
+    tape = _tape(key, record)
     amps = state._amps
     records = []
     for pattern, slots, post_sig in tape:

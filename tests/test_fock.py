@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -549,9 +550,9 @@ def _outcome(run, state):
 
 def assert_replay_matches_reference(run_a, run_b, ref_a, ref_b, state):
     """``run_a`` and ``run_b`` are one element with two coefficient sets, ``ref_a`` and
-    ``ref_b`` its reference.  On an empty table, A's first sight runs the term loop
-    (a linear map) or a tape it does not keep, B's second sight records the tape and
-    replays it, and A's third sight replays it; each must give the reference's bits."""
+    ``ref_b`` its reference.  On an empty table, A's first sight keeps no tape, B's
+    second sight records and keeps it, and A's third sight replays it; each must give
+    the reference's bits."""
     fock._LAYOUTS.clear()
     for run, ref in ((run_a, ref_a), (run_b, ref_b), (run_a, ref_a)):
         assert _outcome(run, state) == _outcome(ref, state)
@@ -577,7 +578,7 @@ def test_linear_map_replay_is_bit_identical_to_dense_reference(state, outs_plus,
 
 def reference_medium(state, arm, spec, sign=1):
     """apply_nonlinear_medium as it stood before tapes, over the term dict: the
-    bit-exact reference for the medium's replay and for its term loop."""
+    bit-exact reference for the medium's replay."""
     arm_modes = [m for m in state.modes if m.spatial == arm and not m.sink]
     if not arm_modes:
         return state
@@ -685,6 +686,34 @@ def test_terms_are_built_on_first_read_from_the_signature():
     assert out._terms is None
     assert all(type(occ) is tuple and len(occ) == len(out.modes) for occ in out.terms)
     assert out.terms is out.terms
+
+
+def test_terms_are_read_only():
+    s = apply_beamsplitter(FockState.from_occupations({ModeId("a", "+"): 1}), "a", None, "c", "d")
+    for state in (s, FockState(s.modes, s.terms), s.prune()):
+        with pytest.raises(TypeError):
+            state.terms[next(iter(state.terms))] = 1.0
+
+
+def test_a_shared_unpacked_input_gives_every_thread_the_same_bits():
+    # each round's input is built from a dict, so the threads race to pack it
+    def bits(state):
+        out = apply_beamsplitter(state, "a", "b", "c", "d")
+        return out.modes, [(occ, a.real.hex(), a.imag.hex()) for occ, a in out.terms.items()]
+
+    terms = {(1, 1): 0.6 + 0.0j, (2, 0): 0.0 + 0.8j}
+    modes = (ModeId("a", "+"), ModeId("b", "+"))
+    want = bits(FockState(modes, terms))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            shared = FockState(modes, terms)
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(bits, [shared] * 4))
+            assert got == [want] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("terms", [{(256, 0): 1.0}, {(-1, 1): 1.0}, {(1,): 1.0}, {(0.5, 0): 1.0}])

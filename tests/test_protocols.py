@@ -242,53 +242,29 @@ class TestBitExactPins:
 
 
 # (protocol, phi, od_b, p_de, phi1): every protocol, and p_de, phi1 and od_b
-# changing from one call to the next on the same circuit shapes
+# changing from one call to the next on the same circuit shapes.  Among the
+# ordinary points, phi = 0 prunes terms that other points keep, od_b = inf
+# zeroes medium branches, p_de = 1 skips the detector stage and phi1 != 0
+# adds a phase shifter, so a tape recorded at one point is replayed at another.
 _COHERENCE_CALLS = [
     ("bm", 1.3, 30.0, 0.9, 0.0),
+    ("bm", 0.0, 30.0, 0.9, 0.0),
     ("ghz", PI / 3, 30.0, 0.98, 0.0),
+    ("ghz", PI / 3, math.inf, 0.98, 0.0),
     ("bm", 1.3, 30.0, 0.97, -1.3 / 11),
     ("evl", 2.2, math.inf, 0.85, 0.0),
-    ("bm", 2.0, 60.0, 0.97, 0.0),
-    ("ghz", 2.0, 60.0, 0.9, -2.0 / 11),
-    ("evl", 1.3, 30.0, 0.9, 0.0),
-    ("bm", 2.0, 60.0, 0.9, -2.0 / 11),
-    ("ghz", PI / 3, 30.0, 0.5, 0.0),
-]
-
-
-# Tape guards, interleaved with ordinary points: phi = 0 prunes terms that
-# other points keep, od_b = inf zeroes medium branches, p_de = 1 skips the
-# detector stage and phi1 != 0 adds a phase shifter.
-_TAPE_CALLS = [
-    ("bm", 1.3, 30.0, 0.9, 0.0),
-    ("bm", 0.0, 30.0, 0.9, 0.0),
-    ("ghz", PI / 3, math.inf, 0.98, 0.0),
     ("evl", 2.2, 30.0, 1.0, 0.0),
     ("bm", 1.3, math.inf, 1.0, -1.3 / 11),
+    ("bm", 2.0, 60.0, 0.97, 0.0),
     ("ghz", 0.0, 30.0, 0.9, 0.0),
+    ("ghz", 2.0, 60.0, 0.9, -2.0 / 11),
     ("evl", 0.0, math.inf, 0.85, 0.0),
-    ("bm", 2.0, 60.0, 0.97, -2.0 / 11),
-    ("ghz", 2.0, 60.0, 1.0, -2.0 / 11),
     ("evl", 1.3, 30.0, 0.9, 0.0),
-    ("bm", 1.3, 30.0, 0.9, 0.0),
+    ("bm", 2.0, 60.0, 0.97, -2.0 / 11),
+    ("bm", 2.0, 60.0, 0.9, -2.0 / 11),
+    ("ghz", 2.0, 60.0, 1.0, -2.0 / 11),
+    ("ghz", PI / 3, 30.0, 0.5, 0.0),
 ]
-
-
-def _fresh_bits(calls):
-    """``_coherence_bits`` of each call, each in its own fresh interpreter."""
-    src = str(Path(__import__("nlrouter").__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import json, sys; from test_protocols import _coherence_bits; "
-        "print(json.dumps(_coherence_bits(json.loads(sys.argv[1]))))"
-    )
-    return [
-        json.loads(subprocess.run(
-            [sys.executable, "-c", code, json.dumps(call)],
-            env=env, cwd=Path(__file__).parent, capture_output=True, check=True, text=True,
-        ).stdout)
-        for call in calls
-    ]
 
 
 def _coherence_bits(call):
@@ -310,6 +286,7 @@ class TestCacheCoherence:
 
     @pytest.fixture(scope="class")
     def fresh(self):
+        """``_coherence_bits`` of each call, each in its own fresh interpreter."""
         src = str(Path(__import__("nlrouter").__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         code = (
@@ -325,10 +302,13 @@ class TestCacheCoherence:
             bits.append(json.loads(out))
         return bits
 
-    def test_interleaved_calls_match_a_fresh_process(self, fresh):
-        assert [_coherence_bits(c) for c in _COHERENCE_CALLS] == fresh
-        order = list(reversed(range(len(_COHERENCE_CALLS))))
-        assert [_coherence_bits(_COHERENCE_CALLS[i]) for i in order] == [fresh[i] for i in order]
+    def test_interleaved_calls_match_a_fresh_process(self, fresh, monkeypatch):
+        monkeypatch.setattr(fock, "_LAYOUTS", {})
+        n = len(_COHERENCE_CALLS)
+        forward = list(range(n))
+        # first sights, then recorded tapes, then replays, each round in another order
+        for order in (forward, forward[::-1], forward[n // 2 :] + forward[: n // 2]):
+            assert [_coherence_bits(_COHERENCE_CALLS[i]) for i in order] == [fresh[i] for i in order]
 
     def test_a_full_table_is_cleared_and_keeps_the_bits(self, fresh, monkeypatch):
         monkeypatch.setattr(fock, "_LAYOUTS", {})
@@ -336,49 +316,16 @@ class TestCacheCoherence:
         assert [_coherence_bits(c) for c in _COHERENCE_CALLS] == fresh
         assert len(fock._LAYOUTS) <= 5
 
-    def test_threaded_calls_match_a_fresh_process(self, fresh):
+    def test_threaded_calls_match_a_fresh_process(self, fresh, monkeypatch):
+        monkeypatch.setattr(fock, "_LAYOUTS", {})
         n = len(_COHERENCE_CALLS)
-        forward = list(range(n))
-        orders = [forward, forward[::-1], forward[n // 2 :] + forward[: n // 2]]
-        results: dict[tuple[int, int], list] = {}
-
-        def worker(t):
-            for i in orders[t]:
-                results[(t, i)] = _coherence_bits(_COHERENCE_CALLS[i])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=worker, args=(t,)) for t in range(len(orders))]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert len(results) == len(orders) * n
-        assert all(bits == fresh[i] for (_, i), bits in results.items())
-
-    @pytest.fixture(scope="class")
-    def fresh_tapes(self):
-        return _fresh_bits(_TAPE_CALLS)
-
-    def test_tape_guards_interleaved_match_a_fresh_process(self, fresh_tapes, monkeypatch):
-        monkeypatch.setattr(fock, "_LAYOUTS", {})
-        for _ in range(3):  # first sights, then recorded tapes, then replays
-            assert [_coherence_bits(c) for c in _TAPE_CALLS] == fresh_tapes
-
-    def test_tape_guards_threaded_match_a_fresh_process(self, fresh_tapes, monkeypatch):
-        monkeypatch.setattr(fock, "_LAYOUTS", {})
-        n = len(_TAPE_CALLS)
         forward = list(range(n))
         orders = [forward, forward[::-1], forward[n // 2 :] + forward[: n // 2]]
         results: list[tuple[int, list]] = []
 
         def worker(t):
-            for i in orders[t] * 2:
-                results.append((i, _coherence_bits(_TAPE_CALLS[i])))
+            for i in orders[t] * 2:  # each call seen at least twice by each thread
+                results.append((i, _coherence_bits(_COHERENCE_CALLS[i])))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -392,4 +339,4 @@ class TestCacheCoherence:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert len(results) == 2 * len(orders) * n
-        assert all(bits == fresh_tapes[i] for i, bits in results)
+        assert all(bits == fresh[i] for i, bits in results)
