@@ -408,9 +408,9 @@ class _LinearLayout:
 
 def _linear_run(layout: _LinearLayout, plans: _Plans, sig: _Signature, amps: list[complex], keep: bool) -> tuple:
     """The term loop on slots: the output keys in order of first use, their amplitudes before
-    pruning and, with ``keep``, the tape (local patterns; per input slot the output slot of each
-    monomial of its pattern, then the pattern's index; output signature), else None.  A pattern's
-    monomials do not depend on the coefficients."""
+    pruning and, with ``keep``, the tape (layout; local patterns; per input slot the output slot of
+    each monomial of its pattern, then the pattern's index; output signature), else None.  A
+    pattern's monomials do not depend on the coefficients."""
     slots: dict[bytes, int] = {}
     patterns: dict[Sequence[int], int] = {}
     steps = []
@@ -443,7 +443,7 @@ def _linear_run(layout: _LinearLayout, plans: _Plans, sig: _Signature, amps: lis
             step.append(patterns.setdefault(_shared(local), len(patterns)))
             steps.append(_shared(tuple(step)))
     keys = list(slots)
-    return keys, out, (tuple(patterns), tuple(steps), _signature(layout.modes, keys)) if keep else None
+    return keys, out, (layout, tuple(patterns), tuple(steps), _signature(layout.modes, keys)) if keep else None
 
 
 def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[ModeId, complex]]]) -> FockState:
@@ -456,18 +456,17 @@ def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[
     structure = tuple((m, tuple(t for t, _ in outs)) for m, outs in mapping.items())
     coeffs = tuple(c for outs in mapping.values() for _, c in outs)
     sig = state._packed()
-    layout = _layout(_LinearLayout, sig.modes, structure)
-    planner = layout.planner(mapping, coeffs)
     key = (_apply_linear_map, sig, structure)
     tape = _sight(key)
     if tape is None or tape is _SEEN:  # the term loop, which records the tape on the second sight
-        keys, out, tape = _linear_run(layout, planner, sig, state._amps, keep=tape is _SEEN)
+        layout = _layout(_LinearLayout, sig.modes, structure)
+        keys, out, tape = _linear_run(layout, layout.planner(mapping, coeffs), sig, state._amps, keep=tape is _SEEN)
         if tape is None:
             return _output(layout.modes, keys, out)
         _remember(key, tape)
-        return _replayed(tape[2], out)
-    patterns, steps, out_sig = tape
-    plans = list(map(planner.__getitem__, patterns))
+        return _replayed(tape[3], out)
+    layout, patterns, steps, out_sig = tape
+    plans = list(map(layout.planner(mapping, coeffs).__getitem__, patterns))
     out = [0.0j] * out_sig.count
     for amp, step in zip(state._amps, steps):
         divisors, monomials = plans[step[-1]]

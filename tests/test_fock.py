@@ -710,7 +710,7 @@ def test_a_shared_unpacked_input_gives_every_thread_the_same_bits():
         for _ in range(200):
             shared = FockState(modes, terms)
             with ThreadPoolExecutor(4) as pool:
-                got = list(pool.map(bits, [shared] * 4))
+                got = list(pool.map(bits, [shared] * 4, timeout=60))
             assert got == [want] * 4
     finally:
         sys.setswitchinterval(interval)
