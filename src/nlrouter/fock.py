@@ -131,6 +131,9 @@ class FockState:
             self._terms = MappingProxyType(dict(zip(map(tuple, self._sig.keys()), self._amps)))
         return self._terms
 
+    def __reduce__(self):
+        return FockState, (self.modes, dict(self.terms))  # a view does not pickle
+
     def _packed(self) -> _Signature:
         """The signature of ``terms``, whose amplitudes are then ``_amps``."""
         if self._sig is None:

@@ -695,6 +695,16 @@ def test_terms_are_read_only():
             state.terms[next(iter(state.terms))] = 1.0
 
 
+def test_states_pickle_and_copy_with_their_terms():
+    s = FockState.from_occupations({ModeId("a", "+"): 1})
+    out = apply_beamsplitter(s, "a", None, "c", "d")
+    read = apply_beamsplitter(s, "a", None, "c", "d")
+    read.terms  # built before the copy
+    for state in (s, out, read, s.prune()):
+        for twin in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+            assert twin.modes == state.modes and list(twin.terms.items()) == list(state.terms.items())
+
+
 def test_a_shared_unpacked_input_gives_every_thread_the_same_bits():
     # each round's input is built from a dict, so the threads race to pack it
     def bits(state):
