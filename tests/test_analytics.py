@@ -4,6 +4,7 @@ The long decimal constants are oracle values computed from the closed forms
 at well-understood limits and frozen here to guard against regressions.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -18,6 +19,7 @@ from nlrouter.analytics import (
     p_factorization,
     p_ghz,
 )
+from nlrouter.cli import main
 
 PI = math.pi
 EXACT = 1e-12
@@ -110,3 +112,69 @@ class TestScalingFits:
         assert len(grid) == n
         assert grid[0] == start and grid[-1] == stop
         assert grid == sorted(grid, reverse=start > stop)
+
+
+_PIN_GRID = ["--phi", "0:pi:512", "--odb", "15,30,60,240,inf", "--pde", "0.9,0.98,1"]  # has unreachable rows
+
+
+def _cli_sha256(argv, tmp_path):
+    target = tmp_path / "out"
+    assert main(argv + ["--out", str(target)]) == 0
+    return hashlib.sha256(target.read_bytes()).hexdigest()
+
+
+class TestAnalyticPins:
+    """Bit-for-bit pins of the closed-form layer, recorded before its speed-ups.
+
+    ``test_7`` and the benchmark check the scaling exponents only to 1e-6;
+    these pin every byte of ``opt-phase`` and of formula sweeps, and the
+    ``float.hex`` of each fit, so a faster closed form must keep its
+    floating-point operations in order.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["opt-phase", "--protocol", "bm"], "bec91dd492e04a7d5cc4ded0ec8540a0937d8f7540a4d46dc7a8e70cc31dde7a"),
+            (["opt-phase", "--protocol", "ghz"], "d9aa5887435eee3b17dc98c8c7a9a0c9db7cd841d85127af8ccacf5ae2f51e8b"),
+            (["opt-phase", "--protocol", "evl"], "5fd541a2af780760bb988b0fb22a132bc3caa6066bb62acf4500f0544da0bd05"),
+            (
+                ["opt-phase", "--protocol", "bm", "--pde", "0.9", "--odb", "10:3000:15"],
+                "4555fc0ded69924d9c6c58e734ab581b0a01ddfb064f610b1c1ced31da96b8e0",
+            ),
+        ],
+        ids=["bm", "ghz", "evl", "bm-pde0.9"],
+    )
+    def test_opt_phase(self, argv, digest, tmp_path):
+        assert _cli_sha256(argv, tmp_path) == digest
+
+    @pytest.mark.parametrize(
+        "name, exponent, prefactor",
+        [
+            ("bell_measurement", "-0x1.cbb5b5afc7998p-1", "0x1.09b66366d9d83p+2"),
+            ("ghz", "-0x1.dd62bbca22fe1p-1", "0x1.86fe99247bff4p+2"),
+            ("evl_bell_measurement", "-0x1.b9d7eac171e2cp-1", "0x1.8b8c667b10e1bp+1"),
+        ],
+        ids=["bm", "ghz", "evl"],
+    )
+    def test_scaling_fit(self, name, exponent, prefactor):
+        fit = fit_scaling_exponent(name)
+        assert (fit.exponent.hex(), fit.prefactor.hex()) == (exponent, prefactor)
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--protocol", "bm"], "06288747a3c5cf9018e01a0f83185bfe88e5b73bdfd4a2ccff6b9b2712eb8afd"),
+            (["--protocol", "evl"], "07b3f882045be1e25e76c68905cf3490bde9e9b07b639f2f66dafb354ece3657"),
+            (["--protocol", "ghz"], "39318a654bd106d189c24d151db978a61e6f8a8cb51dae121e96fe3658560945"),
+            (["--protocol", "cnot"], "8ef8f762134aba4e0ee343712c508326c3d9e5d1f9af4209a4b77dd2b58438f1"),
+            (["--protocol", "factorization"], "2a9efaa5fee03df5a3e8dad06503ec4a0542c9ccd6b28bc63ea9a7e444f5fc0a"),
+            (["--protocol", "router"], "0dfc8c69ecaac5557cc3784d8ab380bb1a7ac6cc92d3ac19c93a50577ee6b8bc"),
+            (["--protocol", "bm", "--phi1-ratio=-1/11"], "6d6ab66a20af014f51ed1b7cec224fe6f5e65395d67b7f1bb09a1aa2fec6a033"),
+            (["--protocol", "ghz", "--phi1-ratio=-1/11"], "040be73b409561005ee9e31fb41329c5be1b9720de2c8f4e98f36440d2403958"),
+            (["--protocol", "router", "--format", "json"], "84a3ed643e60617a69c415d1b812d85c02a3d14959bc0916af6496f550f37540"),
+        ],
+        ids=["bm", "evl", "ghz", "cnot", "factorization", "router", "bm-detuned", "ghz-detuned", "router-json"],
+    )
+    def test_formula_sweep(self, argv, digest, tmp_path):
+        assert _cli_sha256(["sweep"] + argv + _PIN_GRID, tmp_path) == digest
