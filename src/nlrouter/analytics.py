@@ -32,15 +32,16 @@ __all__ = [
 ]
 
 
-def _interference_terms(phi: float, od_b: float, phi1: float) -> tuple[float, float, float]:
-    """Single-photon survival, pair amplitude and split-pair weight of one router.
+def _interference_terms(phi: float, od_b: float, phi1: float) -> tuple[float, float, float, float]:
+    """Single-photon survival, pair amplitude, split-pair weight and pair survival of one router.
 
-    Returns (1 - tau1, sqrt((1-tau1)(1-tau2)) * cos(phi), (1-tau1)(1-tau2) * sin^2(phi)).
+    Returns (1 - tau1, sqrt((1-tau1)(1-tau2)) * cos(phi), (1-tau1)(1-tau2) * sin^2(phi), 1 - tau2).
     """
     d = detuned_params(phi, od_b, phi1)
     t1sq = 1.0 - d.tau1
-    tpair = math.sqrt(t1sq * (1.0 - d.tau2))
-    return t1sq, tpair * math.cos(phi), t1sq * (1.0 - d.tau2) * math.sin(phi) ** 2
+    t2sq = 1.0 - d.tau2
+    tpair = math.sqrt(t1sq * t2sq)
+    return t1sq, tpair * math.cos(phi), t1sq * t2sq * math.sin(phi) ** 2, t2sq
 
 
 def p_router(phi: float, od_b: float = math.inf, phi1: float = 0.0) -> dict[tuple[int, int], float]:
@@ -50,7 +51,7 @@ def p_router(phi: float, od_b: float = math.inf, phi1: float = 0.0) -> dict[tupl
     :func:`nlrouter.protocols.run_router`; only the three both-survive
     outcomes are given.
     """
-    t1sq, x, split = _interference_terms(phi, od_b, phi1)
+    t1sq, x, split, _ = _interference_terms(phi, od_b, phi1)
     a = 0.5 * (x - t1sq)
     b = 0.5 * (x + t1sq)
     return {(2, 0): b * b, (1, 1): 0.5 * split, (0, 2): a * a}
@@ -63,10 +64,9 @@ def p_bell_measurement(phi: float, od_b: float = math.inf, p_de: float = 1.0, ph
     succeed whenever both photons survive; the symmetric ones additionally
     lose the branch where the photon pair exits the wrong router port.
     """
-    t1sq, x, _ = _interference_terms(phi, od_b, phi1)
+    t1sq, x, _, t2sq = _interference_terms(phi, od_b, phi1)
     b = 0.5 * (x + t1sq)
-    d = detuned_params(phi, od_b, phi1)
-    p_surv_pair = 0.5 * (t1sq * t1sq + t1sq * (1.0 - d.tau2))
+    p_surv_pair = 0.5 * (t1sq * t1sq + t1sq * t2sq)
     p_anti = t1sq * t1sq
     p_sym = p_surv_pair - b * b
     return p_de * p_de * 0.5 * (p_anti + p_sym)
@@ -86,7 +86,7 @@ def p_evl_bell_measurement(phi: float, od_b: float = math.inf, p_de: float = 1.0
 
 def p_ghz(phi: float, od_b: float = math.inf, p_de: float = 1.0, phi1: float = 0.0) -> float:
     """Success probability of fusing two photonic qubits into a GHZ state."""
-    t1sq, x, _ = _interference_terms(phi, od_b, phi1)
+    t1sq, x, _, _ = _interference_terms(phi, od_b, phi1)
     a = x - t1sq
     return p_de * (0.5 * t1sq * t1sq + a * a / 8.0)
 

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, TextIO
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TextIO
 
 from . import analytics, protocols
 from .rydberg import loss_from_phase
@@ -166,8 +166,7 @@ def _fmt(x: float) -> str:
 # --------------------------------------------------------------------- sweep
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     phi: float
     od_b: float
     p_de: float
@@ -210,22 +209,25 @@ def _sweep_point_rows(protocol: str, engine: str, pt: SweepPoint) -> list[dict]:
     ]
 
 
-def _emit_rows(rows: list[dict], engine: str, fmt: str, out: TextIO) -> None:
+def _render_sweep(rows: Iterable[dict], engine: str, fmt: str) -> str:
+    """The whole sweep output; a CSV line is formatted as its row arrives and the row dropped."""
     both = engine == "both"
-    max_delta = max([0.0] + [r["abs_delta"] for r in rows if both and r["abs_delta"] is not None])
-    if fmt == "csv":
-        header = ["phi", "od_b", "p_de", "phi1", "protocol", "engine", "probability"]
-        header += ["probability_sim", "abs_delta", "status"] if both else ["status"]
-        out.write(",".join(header) + "\n")
-        for r in rows:
-            out.write(",".join(_cell(r[k]) for k in header) + "\n")
-        if both:
-            out.write(f"# max_abs_delta = {_fmt(max_delta)}\n")
-    else:
-        records = [{k: _jsonf(v) for k, v in r.items()} for r in rows]
-        doc: object = records if not both else {"records": records, "max_abs_delta": _jsonf(max_delta)}
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+    header = ["phi", "od_b", "p_de", "phi1", "protocol", "engine", "probability"]
+    header += ["probability_sim", "abs_delta", "status"] if both else ["status"]
+    as_csv = fmt == "csv"
+    out: list = [",".join(header)] if as_csv else []
+    max_delta = 0.0
+    for r in rows:
+        if both and r["abs_delta"] is not None:
+            max_delta = max(max_delta, r["abs_delta"])
+        out.append(",".join([_cell(r[k]) for k in header]) if as_csv else {k: _jsonf(v) for k, v in r.items()})
+    if not as_csv:
+        doc: object = out if not both else {"records": out, "max_abs_delta": _jsonf(max_delta)}
+        return json.dumps(doc, indent=2) + "\n"
+    if both:
+        out.append(f"# max_abs_delta = {_fmt(max_delta)}")
+    out.append("")  # the final newline, without copying the joined text
+    return "\n".join(out)
 
 
 def _cell(x: Optional[object]) -> str:
@@ -279,14 +281,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if ratio != 0.0 and not PROTOCOL_TABLE[protocol].detunable:
         raise CliError(f"protocol {protocol!r} has no detuned variant; use --phi1-ratio 0", USAGE_ERROR)
     _check_operating_point(phis + [ratio * phi for phi in phis], ods, pdes)
-    rows = [
+    rows = (
         row
         for phi in phis
         for od in ods
         for pde in pdes
-        for row in _sweep_point_rows(protocol, engine, SweepPoint(phi=phi, od_b=od, p_de=pde, phi1=ratio * phi))
-    ]
-    return _write_output(args.out, lambda fh: _emit_rows(rows, engine, fmt, fh))
+        for row in _sweep_point_rows(protocol, engine, SweepPoint(phi, od, pde, ratio * phi))
+    )
+    text = _render_sweep(rows, engine, fmt)  # every row runs before the output is opened
+    return _write_output(args.out, lambda fh: fh.write(text))
 
 
 # -------------------------------------------------------------------- circle

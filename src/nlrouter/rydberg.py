@@ -13,7 +13,7 @@ Phases with |phi| > od_b/4 are unreachable; phi = pi needs od_b > 4*pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "CirclePoint",
@@ -24,8 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CirclePoint:
+class CirclePoint(NamedTuple):
     """One operating point: conditional phase, loss exponent, absorbed fraction."""
 
     phi: float
@@ -33,8 +32,7 @@ class CirclePoint:
     tau: float
 
 
-@dataclass(frozen=True)
-class DetunedParams:
+class DetunedParams(NamedTuple):
     """Single-photon and pair channel parameters at a detuned operating point.
 
     phi1/tau1 apply to every photon individually, phi2/tau2 to the second
@@ -52,17 +50,14 @@ class DetunedParams:
         return self.phi2 - self.phi1
 
 
-def loss_from_phase(phi: float, od_b: float, branch: str = "lower") -> CirclePoint:
-    """Loss exponent and absorbed fraction at conditional phase ``phi``.
-
-    ``od_b`` is the blockaded optical depth; ``od_b = inf`` gives the
-    lossless limit tau = 0 for any phase.  Raises ValueError when ``phi``
-    lies outside the reachable range |phi| <= od_b/4.
-    """
-    if od_b <= 0.0:
+def _circle(phi: float, od_b: float, branch: str) -> tuple[float, float]:
+    """(eps, tau) at conditional phase ``phi``: the checks and arithmetic of :func:`loss_from_phase`."""
+    if not od_b > 0.0:
         raise ValueError("od_b must be positive")
+    if math.isnan(phi):
+        raise ValueError("phi must not be NaN")
     if math.isinf(od_b):
-        return CirclePoint(phi=phi, eps=0.0, tau=0.0)
+        return 0.0, 0.0
     radius = od_b / 4.0
     if abs(phi) > radius:
         raise ValueError(f"phase {phi:g} unreachable at od_b={od_b:g}; |phi| <= od_b/4 required")
@@ -73,7 +68,19 @@ def loss_from_phase(phi: float, od_b: float, branch: str = "lower") -> CirclePoi
         eps = 2.0 * (radius + root)
     else:
         raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
-    return CirclePoint(phi=phi, eps=eps, tau=1.0 - math.exp(-eps))
+    return eps, 1.0 - math.exp(-eps)
+
+
+def loss_from_phase(phi: float, od_b: float, branch: str = "lower") -> CirclePoint:
+    """Loss exponent and absorbed fraction at conditional phase ``phi``.
+
+    ``od_b`` is the blockaded optical depth; ``od_b = inf`` gives the
+    lossless limit tau = 0 for any phase.  Raises ValueError when ``phi``
+    lies outside the reachable range |phi| <= od_b/4, and for a NaN
+    ``phi`` or ``od_b``.
+    """
+    eps, tau = _circle(phi, od_b, branch)
+    return CirclePoint(phi, eps, tau)
 
 
 def detuned_params(phi: float, od_b: float, phi1: float, branch: str = "lower") -> DetunedParams:
@@ -84,9 +91,9 @@ def detuned_params(phi: float, od_b: float, phi1: float, branch: str = "lower") 
     single-photon phase is compensated elsewhere in the interferometer, so
     only the loss pair (tau1, tau2) and the conditional phase survive.
     """
-    p1 = loss_from_phase(phi1, od_b, branch)
-    p2 = loss_from_phase(phi + phi1, od_b, branch)
-    return DetunedParams(phi1=phi1, tau1=p1.tau, phi2=phi + phi1, tau2=p2.tau)
+    tau1 = _circle(phi1, od_b, branch)[1]
+    phi2 = phi + phi1
+    return DetunedParams(phi1, tau1, phi2, _circle(phi2, od_b, branch)[1])
 
 
 def effective_od_with_cavity(od_total: float, exponent: float = 0.4) -> float:

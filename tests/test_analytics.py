@@ -18,6 +18,7 @@ from nlrouter.analytics import (
     p_evl_bell_measurement,
     p_factorization,
     p_ghz,
+    p_router,
 )
 from nlrouter.cli import main
 
@@ -91,6 +92,24 @@ class TestOptimalPhase:
     def test_unknown_protocol(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             find_optimal_phase("nope", 30.0)
+
+    def test_nan_optical_depth_is_refused(self):
+        # it used to return phi_opt 3.1e-4
+        with pytest.raises(ValueError, match="od_b must be positive"):
+            find_optimal_phase("ghz", math.nan)
+
+
+class TestNanInputs:
+    @pytest.mark.parametrize("f", [p_bell_measurement, p_evl_bell_measurement, p_ghz, p_cnot, p_factorization, p_router])
+    @pytest.mark.parametrize("phi, od_b", [(math.nan, math.inf), (math.nan, 30.0), (1.0, math.nan)])
+    def test_every_closed_form_refuses_nan(self, f, phi, od_b):
+        with pytest.raises(ValueError):
+            f(phi, od_b)
+
+    @pytest.mark.parametrize("f", [p_bell_measurement, p_ghz, p_cnot])
+    def test_nan_detuning_is_refused(self, f):
+        with pytest.raises(ValueError, match="phi must not be NaN"):
+            f(1.0, 30.0, 0.9, math.nan)
 
 
 class TestScalingFits:

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import math
+import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,49 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", "--protocol", "ghz", "--phi", "0:pi:4", "--engine", "both")
         assert code == 0
         assert len(out.strip().split("\n")) == 6  # header + 4 rows + footer
+
+
+class TestSweepOutput:
+    def test_csv_sweep_memory_per_row(self, tmp_path):
+        # one formatted line per row is held until the write; the output itself is 53 bytes a row
+        argv = ["sweep", "--protocol", "bm", "--phi", "0:pi:4096", "--odb", "30,60,inf", "--pde", "0.98"]
+        main(["sweep", "--protocol", "bm", "--phi", "0:pi:2", "--odb", "30", "--out", str(tmp_path / "warm.csv")])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = 4096 * 3
+        assert len((tmp_path / "out.csv").read_text().splitlines()) == rows + 1
+        assert (peak - base) / rows < 250
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_raising_row_writes_nothing(self, tmp_path, monkeypatch, fmt):
+        formula, calls = cli._FORMULA["bm"], []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 100:
+                raise RuntimeError("row 100")
+            return formula(*args)
+
+        monkeypatch.setitem(cli._FORMULA, "bm", failing)
+        target = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError, match="row 100"):
+            main(["sweep", "--protocol", "bm", "--phi", "0:pi:128", "--format", fmt, "--out", str(target)])
+        assert len(calls) == 100
+        assert not target.exists()
+
+    def test_sweep_point_record(self):
+        pt = cli.SweepPoint(phi=1.0, od_b=30.0, p_de=0.98, phi1=-0.5)
+        assert cli.SweepPoint._fields == ("phi", "od_b", "p_de", "phi1")
+        assert repr(pt) == "SweepPoint(phi=1.0, od_b=30.0, p_de=0.98, phi1=-0.5)"
+        assert pickle.loads(pickle.dumps(pt)) == pt
+        assert pt == (1.0, 30.0, 0.98, -0.5)  # a named tuple equals the plain tuple of its values
+        with pytest.raises(AttributeError):
+            pt.phi = 0.0
 
 
 class TestOtherCommands:

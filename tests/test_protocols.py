@@ -172,6 +172,34 @@ class TestGhz:
         assert abs(lossy.p_false_positive - 0.2) < EXACT
 
 
+class TestNanInputs:
+    """The simulated media refuse a NaN phase or optical depth.
+
+    ``run_bell_measurement(nan, inf)`` used to return a partition summing to
+    0.75, ``run_evl_bell_measurement(1, nan, 0.98)`` one summing to 0 and
+    ``run_router(1, nan)`` an empty dict.
+    """
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda phi, od_b: run_bell_measurement(phi, od_b),
+            lambda phi, od_b: run_evl_bell_measurement(phi, od_b, 0.98),
+            lambda phi, od_b: run_ghz(phi, od_b, 0.98),
+            lambda phi, od_b: run_router(phi, od_b),
+        ],
+        ids=["bm", "evl", "ghz", "router"],
+    )
+    @pytest.mark.parametrize("phi, od_b", [(math.nan, math.inf), (math.nan, 30.0), (1.0, math.nan)])
+    def test_nan_is_refused(self, run, phi, od_b):
+        with pytest.raises(ValueError, match="must not be NaN|must be positive"):
+            run(phi, od_b)
+
+    def test_nan_detuning_is_refused(self):
+        with pytest.raises(ValueError, match="phi must not be NaN"):
+            run_bell_measurement(1.0, 30.0, 0.98, math.nan)
+
+
 class TestBellStates:
     def test_orthonormal(self):
         states = [bell_state(n) for n in BELL_STATES]

@@ -1,11 +1,12 @@
 """Phase-loss circle and detuned operating-point tests."""
 
 import math
+import pickle
 import random
 
 import pytest
 
-from nlrouter.rydberg import detuned_params, effective_od_with_cavity, loss_from_phase
+from nlrouter.rydberg import CirclePoint, DetunedParams, detuned_params, effective_od_with_cavity, loss_from_phase
 
 TOL = 1e-12
 
@@ -54,6 +55,57 @@ def test_invalid_inputs():
         loss_from_phase(0.1, -1.0)
     with pytest.raises(ValueError, match="branch"):
         loss_from_phase(0.1, 8.0, branch="middle")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: loss_from_phase(0.1, math.nan), "od_b must be positive"),
+        (lambda: loss_from_phase(math.nan, 30.0), "phi must not be NaN"),
+        (lambda: loss_from_phase(math.nan, math.inf), "phi must not be NaN"),
+        (lambda: detuned_params(1.0, math.nan, 0.0), "od_b must be positive"),
+        (lambda: detuned_params(math.nan, math.inf, 0.0), "phi must not be NaN"),
+        (lambda: detuned_params(1.0, 30.0, math.nan), "phi must not be NaN"),
+    ],
+    ids=["circle-od_b", "circle-phi", "circle-phi-lossless", "detuned-od_b", "detuned-phi", "detuned-phi1"],
+)
+def test_nan_is_refused(call, message):
+    # a NaN od_b used to slip past `od_b <= 0` and give a NaN record
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+class TestRecords:
+    """The circle records are named tuples: fields, repr and pickling as the frozen dataclasses had them."""
+
+    def test_fields_keywords_and_repr(self):
+        assert CirclePoint._fields == ("phi", "eps", "tau")
+        assert DetunedParams._fields == ("phi1", "tau1", "phi2", "tau2")
+        cp = CirclePoint(phi=0.5, eps=1.25, tau=0.75)
+        assert repr(cp) == "CirclePoint(phi=0.5, eps=1.25, tau=0.75)"
+        d = DetunedParams(phi1=-0.25, tau1=0.0, phi2=1.0, tau2=0.5)
+        assert repr(d) == "DetunedParams(phi1=-0.25, tau1=0.0, phi2=1.0, tau2=0.5)"
+        assert d.phi == 1.25
+        assert repr(loss_from_phase(2.5, math.inf)) == "CirclePoint(phi=2.5, eps=0.0, tau=0.0)"
+
+    def test_pickle_round_trip(self):
+        for record in (loss_from_phase(1.0, 30.0), detuned_params(1.0, 30.0, -1.0 / 11)):
+            copy = pickle.loads(pickle.dumps(record))
+            assert type(copy) is type(record) and copy == record
+
+    def test_fields_are_read_only(self):
+        cp, d = loss_from_phase(1.0, 30.0), detuned_params(1.0, 30.0, 0.0)
+        with pytest.raises(AttributeError):
+            cp.tau = 0.0
+        with pytest.raises(AttributeError):
+            d.tau2 = 0.0
+
+    def test_a_record_equals_the_plain_tuple_of_its_values(self):
+        # the one change from the dataclasses: tuple equality and unpacking
+        cp = loss_from_phase(2.5, math.inf)
+        assert cp == (2.5, 0.0, 0.0)
+        phi, eps, tau = cp
+        assert (phi, eps, tau) == (2.5, 0.0, 0.0)
 
 
 def test_detuned_params_conditional_phase():
