@@ -18,25 +18,29 @@ vector it saw.
 Inside the engine a state is a signature, its ordered occupation keys
 packed once as ``bytes`` (one byte per mode: at most 255 photons) and
 interned, and a list of amplitudes; ``FockState.terms``, a read-only view,
-builds its dict only when something reads it.  On the second sight of an
-(element structure, input signature) pair an element records a tape of its
-term loop, in the loop's order: per input slot the output slots it adds to,
-with the plan monomial (linear map) or branch factors (medium, multiplied
-left to right) that scale it, or per pattern the slots it sums
-(measurement).  Every later call replays the tape.  A linear map records
-while it runs its term loop on slots, and runs it without recording on a
-first sight; the medium and the measurement record first and replay the
-tape, which on a first sight they do not keep.  So a pair met once keeps no
-tape.  Tapes hold structure, never coefficients.  The replay keeps the
-loop's two value-dependent branches: prune's ``abs(a) > PRUNE_TOL`` drops
-slots and keeps the order of the rest, and the medium skips a zero branch,
-so a slot sits where its first nonzero branch put it.  Layouts, signatures
-and tapes share one table, and kept tapes share one copy of each equal
-step; both are cleared once the table holds ``_LAYOUT_LIMIT`` entries,
-which bounds their memory together.
+builds its dict only when something reads it.  A linear element's front
+end is made once per (element kind, ports, loss tag, input signature): per
+source mode that holds photons its target modes and, for the beam
+splitter, PBS and rotation, their constant coefficients.  It never holds a
+coefficient that depends on a value (a phase, a transmission, a p_de) and
+never a refusal, which is raised on every sight.  A warm call computes only
+those coefficients, as one flat tuple, and goes to its tape.  On the second
+sight of an (element structure, input signature) pair an element records a
+tape of its term loop, in the loop's order: per input slot the output slots
+it adds to, with the plan monomial (linear map) or branch factors (medium,
+multiplied left to right) that scale it, or per pattern the slots it sums
+(measurement).  Every call replays the tape, which a first sight records
+and does not keep: a pair met once keeps no tape.  Tapes hold structure,
+never coefficients.  The replay keeps the loop's two value-dependent
+branches: prune's ``abs(a) > PRUNE_TOL`` drops slots and keeps the order of
+the rest, and the medium skips a zero branch, so a slot sits where its
+first nonzero branch put it.  Front ends, layouts, signatures and tapes
+share one table, and kept tapes share one copy of each equal step; both
+are cleared once the table holds ``_LAYOUT_LIMIT`` entries, which bounds
+their memory together.
 
 Every element acts only on the polarization submodes of a spatial mode that
-hold photons (``_pol_variants``): a photon-free submode is left alone and
+hold photons (``_sig_pols``): a photon-free submode is left alone and
 never grows the registry.  The polarizing beam splitter and the 45-degree
 rotation refuse a photon outside their bases, an unpolarized one included.
 """
@@ -224,7 +228,7 @@ class FockState:
 # Layouts, signatures and tapes (see the module docstring).  Keys never hold
 # coefficients: a random p_de per call would make a new entry per call.
 _LAYOUT_LIMIT = 4096
-_LAYOUTS: dict[tuple, object] = {}
+_LAYOUTS: dict[object, object] = {}
 _SEEN = object()  # a tape key met once; its next sight keeps the tape
 _STEPS: dict[tuple, tuple] = {}  # one copy of each step of a kept tape, shared by every kept tape
 
@@ -301,12 +305,6 @@ def _replayed(sig: _Signature, amps: list[complex]) -> FockState:
         return FockState._of(sig, amps)
     above = list(map(PRUNE_TOL.__lt__, map(abs, amps)))
     return FockState._of(_layout(_subset, sig, tuple(compress(range(len(amps)), above))), list(compress(amps, above)))
-
-
-def _output(modes: tuple[ModeId, ...], keys: list[bytes], amps: list[complex]) -> FockState:
-    """The terms of ``keys`` whose amplitude is above ``PRUNE_TOL``, as prune keeps them, in order."""
-    above = list(map(PRUNE_TOL.__lt__, map(abs, amps)))
-    return FockState._of(_signature(modes, list(compress(keys, above))), list(compress(amps, above)))
 
 
 def _moved(occ: bytes, changes: tuple) -> bytes:
@@ -397,79 +395,57 @@ class _LinearLayout:
         # plans made for other coefficients
         self.plans: tuple[tuple, _Plans] = ((), _Plans([], []))
 
-    def planner(self, mapping: Mapping[ModeId, Sequence[tuple[ModeId, complex]]], coeffs: tuple) -> _Plans:
-        """The plans for the coefficients of ``mapping``."""
+    def planner(self, coeffs: tuple) -> _Plans:
+        """The plans for ``coeffs``: per source, in order, one coefficient per target."""
         known, plans = self.plans
         # a plan's coefficients are sums that start at 0.0j, so coefficients equal
         # under == (0.0 and -0.0 alike) give bit-identical plans
         if known != coeffs:
-            mapped = [(i, [(j, c) for j, (_, c) in zip(js, outs)]) for (i, js), outs in zip(self.shape, mapping.values())]
-            plans = _Plans(mapped, self.touched)
+            it = iter(coeffs)
+            plans = _Plans([(i, [(j, next(it)) for j in js]) for i, js in self.shape], self.touched)
             self.plans = (coeffs, plans)
         return plans
 
 
-def _linear_run(layout: _LinearLayout, plans: _Plans, sig: _Signature, amps: list[complex], keep: bool) -> tuple:
-    """The term loop on slots: the output keys in order of first use, their amplitudes before
-    pruning and, with ``keep``, the tape (layout; local patterns; per input slot the output slot of
-    each monomial of its pattern, then the pattern's index; output signature), else None.  A
-    pattern's monomials do not depend on the coefficients."""
+def _linear_tape(layout: _LinearLayout, plans: _Plans, sig: _Signature, share: Callable) -> tuple:
+    """The term loop's tape: layout; local patterns; per input slot the output slot of each monomial
+    of its pattern (in order of first use), then the pattern's index; output signature.  A
+    pattern's monomials do not depend on the coefficients of ``plans``."""
     slots: dict[bytes, int] = {}
     patterns: dict[Sequence[int], int] = {}
     steps = []
-    out: list[complex] = []
-    for occ, amp in zip(sig.keys(), amps):
+    for occ in sig.keys():
         occ += layout.pad
         local = layout.project(occ)
         divisors, monomials = plans[local]
-        if divisors:
-            amp = reduce(truediv, divisors, amp)  # amp / d1 / d2 ..., in order
-            step = []
-            for changes, coeff, factor in monomials:
-                k = _moved(occ, changes)
-                j = slots.get(k)
-                if j is None:
-                    j = slots[k] = len(out)
-                    out.append(0.0j + amp * coeff * factor)  # a slot starts at 0.0j, as in the replay
-                else:
-                    out[j] += amp * coeff * factor
-                step.append(j)
-        else:
-            j = slots.get(occ)
-            if j is None:
-                j = slots[occ] = len(out)
-                out.append(0.0j + amp)
-            else:
-                out[j] += amp
-            step = [j]
-        if keep:
-            step.append(patterns.setdefault(_shared(local), len(patterns)))
-            steps.append(_shared(tuple(step)))
-    keys = list(slots)
-    return keys, out, (layout, tuple(patterns), tuple(steps), _signature(layout.modes, keys)) if keep else None
+        step = [slots.setdefault(k, len(slots)) for k in ([_moved(occ, m[0]) for m in monomials] if divisors else [occ])]
+        step.append(patterns.setdefault(share(local), len(patterns)))
+        steps.append(share(tuple(step)))
+    return layout, tuple(patterns), tuple(steps), _signature(layout.modes, list(slots))
 
 
-def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[ModeId, complex]]]) -> FockState:
-    """Apply a (partial-isometry) linear map on creation operators.
+class _LinearFront:
+    """A linear element on one input signature: per source mode that holds photons its target
+    modes, and its coefficients if they are constants.  The front is its tape's key."""
 
-    Each input mode operator is replaced by the given combination of output
-    operators; occupation factorials are handled so normalized kets map to
-    normalized kets whenever the single-photon matrix is an isometry.
-    """
-    structure = tuple((m, tuple(t for t, _ in outs)) for m, outs in mapping.items())
-    coeffs = tuple(c for outs in mapping.values() for _, c in outs)
-    sig = state._packed()
-    key = (_apply_linear_map, sig, structure)
-    tape = _sight(key)
-    if tape is None or tape is _SEEN:  # the term loop, which records the tape on the second sight
-        layout = _layout(_LinearLayout, sig.modes, structure)
-        keys, out, tape = _linear_run(layout, layout.planner(mapping, coeffs), sig, state._amps, keep=tape is _SEEN)
-        if tape is None:
-            return _output(layout.modes, keys, out)
-        _remember(key, tape)
-        return _replayed(tape[3], out)
-    layout, patterns, steps, out_sig = tape
-    plans = list(map(layout.planner(mapping, coeffs).__getitem__, patterns))
+    __slots__ = ("structure", "consts")
+
+    def __init__(self, structure: Iterable[tuple[ModeId, tuple[ModeId, ...]]], consts: tuple = ()):
+        self.structure, self.consts = tuple(structure), consts
+
+
+def _linear(state: FockState, front: _LinearFront, coeffs: tuple) -> FockState:
+    """Apply ``front``'s map to the packed ``state`` with the flat ``coeffs``: per source, in order, one per target."""
+    if not front.structure:
+        return state
+    sig = state._sig
+
+    def record(share: Callable) -> tuple:
+        layout = _layout(_LinearLayout, sig.modes, front.structure)
+        return _linear_tape(layout, layout.planner(coeffs), sig, share)
+
+    layout, patterns, steps, out_sig = _tape(front, record)
+    plans = list(map(layout.planner(coeffs).__getitem__, patterns))
     out = [0.0j] * out_sig.count
     for amp, step in zip(state._amps, steps):
         divisors, monomials = plans[step[-1]]
@@ -482,24 +458,34 @@ def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[
     return _replayed(out_sig, out)
 
 
+def _mapped_front(sig: _Signature, structure: tuple) -> _LinearFront:
+    return _LinearFront(structure)
+
+
+def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[ModeId, complex]]]) -> FockState:
+    """Apply a (partial-isometry) linear map on creation operators.
+
+    Each input mode operator is replaced by the given combination of output
+    operators; occupation factorials are handled so normalized kets map to
+    normalized kets whenever the single-photon matrix is an isometry.
+    """
+    front = _layout(_mapped_front, state._packed(), tuple((m, tuple(t for t, _ in outs)) for m, outs in mapping.items()))
+    return _linear(state, front, tuple(c for outs in mapping.values() for _, c in outs))
+
+
 def _sig_pols(sig: _Signature, spatial: str) -> list[Optional[str]]:
+    """The polarizations holding photons in ``spatial`` (sinks excluded), sorted: the submodes every element acts on."""
     w, p = len(sig.modes), sig.packed
     return sorted({m.pol for i, m in enumerate(sig.modes) if m.spatial == spatial and not m.sink and any(p[i::w])}, key=str)
 
 
-def _pol_variants(state: FockState, spatial: str) -> list[Optional[str]]:
-    """The polarizations holding photons in ``spatial`` (sinks excluded), sorted: the submodes every element acts on."""
-    return _layout(_sig_pols, state._packed(), spatial)
+_S = 1.0 / math.sqrt(2.0)
 
 
-def _spatial_map(state: FockState, pairs: Mapping[str, Sequence[tuple[str, complex]]]) -> FockState:
-    """Lift a spatial-mode map to every polarization submode that holds photons."""
-    mapping = {
-        ModeId(src, pol): [(ModeId(dst, pol), c) for dst, c in outs]
-        for src, outs in pairs.items()
-        for pol in _pol_variants(state, src)
-    }
-    return _apply_linear_map(state, mapping) if mapping else state
+def _beamsplitter_front(sig: _Signature, in1: Optional[str], in2: Optional[str], out1: str, out2: str) -> _LinearFront:
+    pairs = {src: dsts for src, dsts in ((in1, (out2, out1)), (in2, (out1, out2))) if src is not None}
+    structure = [(ModeId(src, pol), tuple(ModeId(d, pol) for d in dsts)) for src, dsts in pairs.items() for pol in _sig_pols(sig, src)]
+    return _LinearFront(structure, (_S, 1j * _S) * len(structure))
 
 
 def apply_beamsplitter(state: FockState, in1: Optional[str], in2: Optional[str], out1: str, out2: str) -> FockState:
@@ -508,19 +494,31 @@ def apply_beamsplitter(state: FockState, in1: Optional[str], in2: Optional[str],
     Either input may be ``None`` (vacuum port).  Polarization submodes are
     transformed independently.
     """
-    s = 1.0 / math.sqrt(2.0)
-    pairs: dict[str, list[tuple[str, complex]]] = {}
-    if in1 is not None:
-        pairs[in1] = [(out2, s), (out1, 1j * s)]
-    if in2 is not None:
-        pairs[in2] = [(out1, s), (out2, 1j * s)]
-    return _spatial_map(state, pairs)
+    front = _layout(_beamsplitter_front, state._packed(), in1, in2, out1, out2)
+    return _linear(state, front, front.consts)
+
+
+def _phase_front(sig: _Signature, spatial: str) -> _LinearFront:
+    return _LinearFront((ModeId(spatial, pol), (ModeId(spatial, pol),)) for pol in _sig_pols(sig, spatial))
 
 
 def apply_phase(state: FockState, spatial: str, phase: float) -> FockState:
     """Phase shifter: every photon in ``spatial`` picks up exp(i*phase)."""
     c = complex(math.cos(phase), math.sin(phase))
-    return _spatial_map(state, {spatial: [(spatial, c)]})
+    front = _layout(_phase_front, state._packed(), spatial)
+    return _linear(state, front, (c,) * len(front.structure))
+
+
+def _pbs_front(sig: _Signature, in1: str, in2: str, out1: str, out2: str) -> _LinearFront:
+    mapping: dict[ModeId, tuple[ModeId, complex]] = {}
+    for src, t_out, r_out in ((in1, out2, out1), (in2, out1, out2)):
+        routes = {"H": (t_out, 1.0 + 0.0j), "V": (r_out, 1j)}
+        for pol in _sig_pols(sig, src):
+            if pol not in routes:
+                raise ValueError(f"PBS input {src} carries polarization {pol!r}; expected H/V")
+            dst, c = routes[pol]
+            mapping[ModeId(src, pol)] = (ModeId(dst, pol), c)
+    return _LinearFront(((m, (t,)) for m, (t, _) in mapping.items()), tuple(c for _, c in mapping.values()))
 
 
 def apply_pbs(state: FockState, in1: str, in2: str, out1: str, out2: str) -> FockState:
@@ -530,15 +528,20 @@ def apply_pbs(state: FockState, in1: str, in2: str, out1: str, out2: str) -> Foc
     Photons must be expressed in the H/V basis: a diagonal or unpolarized
     photon in either input raises ValueError.
     """
-    mapping: dict[ModeId, list[tuple[ModeId, complex]]] = {}
-    for src, t_out, r_out in ((in1, out2, out1), (in2, out1, out2)):
-        routes = {"H": (t_out, 1.0 + 0.0j), "V": (r_out, 1j)}
-        for pol in _pol_variants(state, src):
-            if pol not in routes:
-                raise ValueError(f"PBS input {src} carries polarization {pol!r}; expected H/V")
-            dst, c = routes[pol]
-            mapping[ModeId(src, pol)] = [(ModeId(dst, pol), c)]
-    return _apply_linear_map(state, mapping) if mapping else state
+    front = _layout(_pbs_front, state._packed(), in1, in2, out1, out2)
+    return _linear(state, front, front.consts)
+
+
+def _rotation_front(sig: _Signature, spatial: str) -> _LinearFront:
+    pols = _sig_pols(sig, spatial)
+    if all(p in _HV for p in pols):
+        src, dst = _HV, _DIAG
+    elif all(p in _DIAG for p in pols):
+        src, dst = _DIAG, _HV
+    else:
+        raise ValueError(f"mode {spatial} holds polarizations {pols}; expected all H/V or all +/-")
+    targets = (ModeId(spatial, dst[0]), ModeId(spatial, dst[1]))
+    return _LinearFront(((ModeId(spatial, pol), targets) for pol in pols), tuple(c for pol in pols for c in (_S, _S if pol == src[0] else -_S)))
 
 
 def apply_rotation_45(state: FockState, spatial: str) -> FockState:
@@ -549,19 +552,12 @@ def apply_rotation_45(state: FockState, spatial: str) -> FockState:
     then its inverse is the identity.  A mode whose photons mix the two bases,
     or include an unpolarized one, raises ValueError.
     """
-    pols = _pol_variants(state, spatial)
-    if all(p in _HV for p in pols):
-        src, dst = _HV, _DIAG
-    elif all(p in _DIAG for p in pols):
-        src, dst = _DIAG, _HV
-    else:
-        raise ValueError(f"mode {spatial} holds polarizations {pols}; expected all H/V or all +/-")
-    s = 1.0 / math.sqrt(2.0)
-    mapping = {
-        ModeId(spatial, pol): [(ModeId(spatial, dst[0]), s), (ModeId(spatial, dst[1]), s if pol == src[0] else -s)]
-        for pol in pols
-    }
-    return _apply_linear_map(state, mapping) if mapping else state
+    front = _layout(_rotation_front, state._packed(), spatial)
+    return _linear(state, front, front.consts)
+
+
+def _loss_front(sig: _Signature, spatial: str, tag: str) -> _LinearFront:
+    return _LinearFront((ModeId(spatial, pol), (ModeId(spatial, pol), ModeId(spatial, pol, sink=True, tag=tag))) for pol in _sig_pols(sig, spatial))
 
 
 def apply_loss(state: FockState, spatial: str, transmission: float, tag: str = "lin") -> FockState:
@@ -570,11 +566,8 @@ def apply_loss(state: FockState, spatial: str, transmission: float, tag: str = "
         raise ValueError("transmission must lie in [0, 1]")
     t = math.sqrt(transmission)
     r = math.sqrt(1.0 - transmission)
-    mapping = {
-        ModeId(spatial, pol): [(ModeId(spatial, pol), t + 0.0j), (ModeId(spatial, pol, sink=True, tag=tag), r + 0.0j)]
-        for pol in _pol_variants(state, spatial)
-    }
-    return _apply_linear_map(state, mapping) if mapping else state
+    front = _layout(_loss_front, state._packed(), spatial, tag)
+    return _linear(state, front, (t + 0.0j, r + 0.0j) * len(front.structure))
 
 
 @dataclass(frozen=True)
