@@ -64,6 +64,8 @@ def p_bell_measurement(phi: float, od_b: float = math.inf, p_de: float = 1.0, ph
     succeed whenever both photons survive; the symmetric ones additionally
     lose the branch where the photon pair exits the wrong router port.
     """
+    if not 0.0 <= p_de <= 1.0:
+        raise ValueError("p_de must lie in [0, 1]")
     t1sq, x, _, t2sq = _interference_terms(phi, od_b, phi1)
     b = 0.5 * (x + t1sq)
     p_surv_pair = 0.5 * (t1sq * t1sq + t1sq * t2sq)
@@ -78,6 +80,8 @@ def p_evl_bell_measurement(phi: float, od_b: float = math.inf, p_de: float = 1.0
     The ancilla lifts the symmetric-state port ambiguity, at the price of two
     extra detected photons (hence the p_de**4 scale).  No detuned variant.
     """
+    if not 0.0 <= p_de <= 1.0:
+        raise ValueError("p_de must lie in [0, 1]")
     cp = loss_from_phase(phi, od_b)
     tau = cp.tau
     b = 0.5 * (math.sqrt(1.0 - tau) * math.cos(phi) + 1.0)
@@ -86,6 +90,8 @@ def p_evl_bell_measurement(phi: float, od_b: float = math.inf, p_de: float = 1.0
 
 def p_ghz(phi: float, od_b: float = math.inf, p_de: float = 1.0, phi1: float = 0.0) -> float:
     """Success probability of fusing two photonic qubits into a GHZ state."""
+    if not 0.0 <= p_de <= 1.0:
+        raise ValueError("p_de must lie in [0, 1]")
     t1sq, x, _, _ = _interference_terms(phi, od_b, phi1)
     a = x - t1sq
     return p_de * (0.5 * t1sq * t1sq + a * a / 8.0)

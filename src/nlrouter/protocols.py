@@ -368,6 +368,8 @@ def run_ghz(
     wrong click count heralds failure; an empty output behind a clean herald
     is the silent false-positive branch.
     """
+    if not 0.0 <= delay_transmission <= 1.0:
+        raise ValueError("delay_transmission must lie in [0, 1]")
     medium = _medium(phi, od_b, phi1, "hv", "any")
     state = bell_state("phi_plus", "r", "a").tensor(bell_state("phi_plus", "s", "b"))
     state = apply_pbs(state, "a", "b", "c", "d")

@@ -112,6 +112,25 @@ class TestNanInputs:
             f(1.0, 30.0, 0.9, math.nan)
 
 
+class TestDetectionEfficiencyRange:
+    # p_bell_measurement(1.0, 30.0, 1.5) used to return 1.542 and p_ghz(1.0, 30.0, -2) -1.06
+    @pytest.mark.parametrize("f", [p_bell_measurement, p_evl_bell_measurement, p_ghz, p_cnot, p_factorization])
+    @pytest.mark.parametrize("p_de", [1.5, -2.0, math.nan, math.inf, 1.0000000000000002, -1e-300])
+    def test_every_closed_form_refuses_p_de_outside_the_unit_interval(self, f, p_de):
+        with pytest.raises(ValueError, match=r"p_de must lie in \[0, 1\]"):
+            f(1.0, 30.0, p_de)
+
+    @pytest.mark.parametrize("protocol", ["bell_measurement", "evl_bell_measurement", "ghz"])
+    def test_the_optimiser_refuses_a_nan_p_de(self, protocol):
+        with pytest.raises(ValueError, match=r"p_de must lie in \[0, 1\]"):
+            find_optimal_phase(protocol, 30.0, math.nan)
+
+    @pytest.mark.parametrize("f", [p_bell_measurement, p_evl_bell_measurement, p_ghz, p_cnot, p_factorization])
+    def test_the_interval_ends_are_accepted(self, f):
+        assert f(1.0, 30.0, 0.0) == 0.0
+        assert f(1.0, 30.0, 1.0) == f(1.0, 30.0)
+
+
 class TestScalingFits:
     def test_failure_probability_exponents(self):
         bm = fit_scaling_exponent("bell_measurement")

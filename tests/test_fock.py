@@ -680,6 +680,50 @@ def test_measure_all_replay_is_bit_identical_to_reference(state, detected, keep_
     )
 
 
+
+def _fresh_outcome(run, state):
+    fock._LAYOUTS.clear()
+    return _outcome(run, state)
+
+
+_ELEMENTS = {
+    "phase": (lambda v: lambda s: apply_phase(s, "u", v), st.floats(-2 * math.pi, 2 * math.pi)),
+    "loss": (lambda v: lambda s: apply_loss(s, "u", v, tag="delay"), st.floats(0.0, 1.0)),
+    "detector_efficiency": (lambda v: lambda s: apply_detector_efficiency(s, ("u", "p"), v), st.floats(0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ELEMENTS))
+@settings(max_examples=60, deadline=None)
+@given(few_photon_states(max_total=3), st.data())
+def test_a_front_end_memo_never_holds_a_value(kind, state, data):
+    # one element on one signature with a value that alternates: its front end is made
+    # on the first sight, its tape on the second, and both are reused; every call must
+    # give the bits of the same call on an emptied table
+    element, values = _ELEMENTS[kind]
+    runs = [element(data.draw(values)) for _ in range(2)]
+    want = [_fresh_outcome(run, state) for run in runs]
+    fock._LAYOUTS.clear()
+    for i in (0, 1, 0, 1, 0):
+        assert _outcome(runs[i], state) == want[i]
+
+
+@pytest.mark.parametrize(
+    "run, state, match",
+    [
+        (lambda s: apply_pbs(s, "a", "b", "c", "d"), one_photon("a", "+"), "expected H/V"),
+        (lambda s: apply_pbs(s, "a", "b", "c", "d"), FockState.from_occupations({ModeId("a", "H"): 1, ModeId("b", None): 1}), "expected H/V"),
+        (lambda s: apply_rotation_45(s, "a"), FockState.from_occupations({ModeId("a", "H"): 1, ModeId("a", "+"): 1}), "expected all H/V or all"),
+    ],
+    ids=["pbs-diagonal", "pbs-unpolarized", "rotation-mixed"],
+)
+def test_a_refusal_is_raised_on_every_sight(run, state, match):
+    fock._LAYOUTS.clear()
+    for _ in range(3):
+        with pytest.raises(ValueError, match=match):
+            run(state)
+
+
 def test_terms_are_built_on_first_read_from_the_signature():
     s = FockState.from_occupations({ModeId("a", "+"): 1, ModeId("b", "+"): 1})
     out = apply_beamsplitter(s, "a", "b", "c", "d")

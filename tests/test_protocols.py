@@ -171,6 +171,18 @@ class TestGhz:
         assert abs(lossy.p_success - 0.8) < EXACT
         assert abs(lossy.p_false_positive - 0.2) < EXACT
 
+    @pytest.mark.parametrize("delay", [1.5, -0.1, math.nan, math.inf])
+    def test_delay_transmission_outside_the_unit_interval_is_refused(self, delay, monkeypatch):
+        # 1.5 and NaN used to give the lossless p_success; the check comes before any circuit runs
+        monkeypatch.setattr(protocols, "bell_state", lambda *a: pytest.fail("the circuit ran"))
+        with pytest.raises(ValueError, match=r"delay_transmission must lie in \[0, 1\]"):
+            run_ghz(1.0, 30.0, 0.98, delay_transmission=delay)
+
+    def test_a_fully_lossy_delay_empties_every_heralded_output(self):
+        r = run_ghz(PI, math.inf, 1.0, delay_transmission=0.0)
+        assert r.p_success == 0.0
+        assert abs(r.p_false_positive - 1.0) < EXACT
+
 
 class TestNanInputs:
     """The simulated media refuse a NaN phase or optical depth.
