@@ -18,26 +18,25 @@ vector it saw.
 Inside the engine a state is a signature, its ordered occupation keys
 packed once as ``bytes`` (one byte per mode: at most 255 photons) and
 interned, and a list of amplitudes; ``FockState.terms``, a read-only view,
-builds its dict only when something reads it.  A linear element's front
-end is made once per (element kind, ports, loss tag, input signature): per
-source mode that holds photons its target modes and, for the beam
-splitter, PBS and rotation, their constant coefficients.  It never holds a
-coefficient that depends on a value (a phase, a transmission, a p_de) and
-never a refusal, which is raised on every sight.  A warm call computes only
-those coefficients, as one flat tuple, and goes to its tape.  On the second
-sight of an (element structure, input signature) pair an element records a
-tape of its term loop, in the loop's order: per input slot the output slots
-it adds to, with the plan monomial (linear map) or branch factors (medium,
-multiplied left to right) that scale it, or per pattern the slots it sums
-(measurement).  Every call replays the tape, which a first sight records
-and does not keep: a pair met once keeps no tape.  Tapes hold structure,
-never coefficients.  The replay keeps the loop's two value-dependent
-branches: prune's ``abs(a) > PRUNE_TOL`` drops slots and keeps the order of
-the rest, and the medium skips a zero branch, so a slot sits where its
-first nonzero branch put it.  Front ends, layouts, signatures and tapes
-share one table, and kept tapes share one copy of each equal step; both
-are cleared once the table holds ``_LAYOUT_LIMIT`` entries, which bounds
-their memory together.
+builds its dict only when something reads it.  A linear element keeps a
+front end per (element kind, ports, loss tag, input signature): the targets
+of each source mode that holds photons and any constant coefficients, never
+one that depends on a value (a phase, a transmission) nor a refusal.  On
+the second sight of an (element structure, input signature) pair an element
+records a tape of its term loop, in the loop's order: per input slot the
+output slots it adds to, with the plan monomial (linear map) or branch
+factors (medium, multiplied left to right) that scale it, or per pattern
+the slots it sums (measurement).  Every later call replays the tape.  A
+linear map records while it runs its term loop on slots, and runs it
+without recording on a first sight; the medium and the measurement record
+first and replay the tape, which on a first sight they do not keep.  So a
+pair met once keeps no tape.  Tapes hold structure, never coefficients.
+The replay keeps the loop's two value-dependent branches: prune's
+``abs(a) > PRUNE_TOL`` drops slots and keeps the order of the rest, and the
+medium skips a zero branch, so a slot sits where its first nonzero branch
+put it.  Front ends, layouts, signatures and tapes share one table, and
+kept tapes share one copy of each equal step; both are cleared once the
+table holds ``_LAYOUT_LIMIT`` entries, which bounds their memory together.
 
 Every element acts only on the polarization submodes of a spatial mode that
 hold photons (``_sig_pols``): a photon-free submode is left alone and
@@ -407,26 +406,48 @@ class _LinearLayout:
         return plans
 
 
-def _linear_tape(layout: _LinearLayout, plans: _Plans, sig: _Signature, share: Callable) -> tuple:
-    """The term loop's tape: layout; local patterns; per input slot the output slot of each monomial
-    of its pattern (in order of first use), then the pattern's index; output signature.  A
-    pattern's monomials do not depend on the coefficients of ``plans``."""
+def _linear_run(layout: _LinearLayout, plans: _Plans, sig: _Signature, amps: list[complex], keep: bool) -> tuple:
+    """The term loop on slots: the output keys in order of first use, their amplitudes before
+    pruning and, with ``keep``, the tape (layout; local patterns; per input slot the output slot of
+    each monomial of its pattern, then the pattern's index; output signature), else None.  A
+    pattern's monomials do not depend on the coefficients."""
     slots: dict[bytes, int] = {}
     patterns: dict[Sequence[int], int] = {}
     steps = []
-    for occ in sig.keys():
+    out: list[complex] = []
+    for occ, amp in zip(sig.keys(), amps):
         occ += layout.pad
         local = layout.project(occ)
         divisors, monomials = plans[local]
-        step = [slots.setdefault(k, len(slots)) for k in ([_moved(occ, m[0]) for m in monomials] if divisors else [occ])]
-        step.append(patterns.setdefault(share(local), len(patterns)))
-        steps.append(share(tuple(step)))
-    return layout, tuple(patterns), tuple(steps), _signature(layout.modes, list(slots))
+        if divisors:
+            amp = reduce(truediv, divisors, amp)  # amp / d1 / d2 ..., in order
+            step = []
+            for changes, coeff, factor in monomials:
+                k = _moved(occ, changes)
+                j = slots.get(k)
+                if j is None:
+                    j = slots[k] = len(out)
+                    out.append(0.0j + amp * coeff * factor)  # a slot starts at 0.0j, as in the replay
+                else:
+                    out[j] += amp * coeff * factor
+                step.append(j)
+        else:
+            j = slots.get(occ)
+            if j is None:
+                j = slots[occ] = len(out)
+                out.append(0.0j + amp)
+            else:
+                out[j] += amp
+            step = [j]
+        if keep:
+            step.append(patterns.setdefault(_shared(local), len(patterns)))
+            steps.append(_shared(tuple(step)))
+    keys = list(slots)
+    return keys, out, (layout, tuple(patterns), tuple(steps), _signature(layout.modes, keys)) if keep else None
 
 
 class _LinearFront:
-    """A linear element on one input signature: per source mode that holds photons its target
-    modes, and its coefficients if they are constants.  The front is its tape's key."""
+    """A linear element's targets per source mode and constant coefficients on one signature; its tape's key."""
 
     __slots__ = ("structure", "consts")
 
@@ -434,17 +455,22 @@ class _LinearFront:
         self.structure, self.consts = tuple(structure), consts
 
 
-def _linear(state: FockState, front: _LinearFront, coeffs: tuple) -> FockState:
-    """Apply ``front``'s map to the packed ``state`` with the flat ``coeffs``: per source, in order, one per target."""
+def _linear(state: FockState, front: _LinearFront, coeffs: Optional[tuple] = None) -> FockState:
+    """Apply ``front``'s map to the packed ``state`` with the flat ``coeffs``, by default its constants."""
     if not front.structure:
         return state
+    coeffs = front.consts if coeffs is None else coeffs
     sig = state._sig
-
-    def record(share: Callable) -> tuple:
+    tape = _sight(front)
+    if tape is None or tape is _SEEN:  # the term loop, which records the tape on the second sight
         layout = _layout(_LinearLayout, sig.modes, front.structure)
-        return _linear_tape(layout, layout.planner(coeffs), sig, share)
-
-    layout, patterns, steps, out_sig = _tape(front, record)
+        keys, out, tape = _linear_run(layout, layout.planner(coeffs), sig, state._amps, keep=tape is _SEEN)
+        if tape is None:
+            above = list(map(PRUNE_TOL.__lt__, map(abs, out)))
+            return FockState._of(_signature(layout.modes, list(compress(keys, above))), list(compress(out, above)))
+        _remember(front, tape)
+        return _replayed(tape[3], out)
+    layout, patterns, steps, out_sig = tape
     plans = list(map(layout.planner(coeffs).__getitem__, patterns))
     out = [0.0j] * out_sig.count
     for amp, step in zip(state._amps, steps):
@@ -479,13 +505,11 @@ def _sig_pols(sig: _Signature, spatial: str) -> list[Optional[str]]:
     return sorted({m.pol for i, m in enumerate(sig.modes) if m.spatial == spatial and not m.sink and any(p[i::w])}, key=str)
 
 
-_S = 1.0 / math.sqrt(2.0)
-
-
 def _beamsplitter_front(sig: _Signature, in1: Optional[str], in2: Optional[str], out1: str, out2: str) -> _LinearFront:
+    s = 1.0 / math.sqrt(2.0)
     pairs = {src: dsts for src, dsts in ((in1, (out2, out1)), (in2, (out1, out2))) if src is not None}
     structure = [(ModeId(src, pol), tuple(ModeId(d, pol) for d in dsts)) for src, dsts in pairs.items() for pol in _sig_pols(sig, src)]
-    return _LinearFront(structure, (_S, 1j * _S) * len(structure))
+    return _LinearFront(structure, (s, 1j * s) * len(structure))
 
 
 def apply_beamsplitter(state: FockState, in1: Optional[str], in2: Optional[str], out1: str, out2: str) -> FockState:
@@ -494,8 +518,7 @@ def apply_beamsplitter(state: FockState, in1: Optional[str], in2: Optional[str],
     Either input may be ``None`` (vacuum port).  Polarization submodes are
     transformed independently.
     """
-    front = _layout(_beamsplitter_front, state._packed(), in1, in2, out1, out2)
-    return _linear(state, front, front.consts)
+    return _linear(state, _layout(_beamsplitter_front, state._packed(), in1, in2, out1, out2))
 
 
 def _phase_front(sig: _Signature, spatial: str) -> _LinearFront:
@@ -510,15 +533,13 @@ def apply_phase(state: FockState, spatial: str, phase: float) -> FockState:
 
 
 def _pbs_front(sig: _Signature, in1: str, in2: str, out1: str, out2: str) -> _LinearFront:
-    mapping: dict[ModeId, tuple[ModeId, complex]] = {}
+    mapping: dict[ModeId, tuple[ModeId]] = {}
     for src, t_out, r_out in ((in1, out2, out1), (in2, out1, out2)):
-        routes = {"H": (t_out, 1.0 + 0.0j), "V": (r_out, 1j)}
         for pol in _sig_pols(sig, src):
-            if pol not in routes:
+            if pol not in _HV:
                 raise ValueError(f"PBS input {src} carries polarization {pol!r}; expected H/V")
-            dst, c = routes[pol]
-            mapping[ModeId(src, pol)] = (ModeId(dst, pol), c)
-    return _LinearFront(((m, (t,)) for m, (t, _) in mapping.items()), tuple(c for _, c in mapping.values()))
+            mapping[ModeId(src, pol)] = (ModeId(t_out if pol == "H" else r_out, pol),)
+    return _LinearFront(mapping.items(), tuple(1.0 + 0.0j if m.pol == "H" else 1j for m in mapping))
 
 
 def apply_pbs(state: FockState, in1: str, in2: str, out1: str, out2: str) -> FockState:
@@ -528,8 +549,7 @@ def apply_pbs(state: FockState, in1: str, in2: str, out1: str, out2: str) -> Foc
     Photons must be expressed in the H/V basis: a diagonal or unpolarized
     photon in either input raises ValueError.
     """
-    front = _layout(_pbs_front, state._packed(), in1, in2, out1, out2)
-    return _linear(state, front, front.consts)
+    return _linear(state, _layout(_pbs_front, state._packed(), in1, in2, out1, out2))
 
 
 def _rotation_front(sig: _Signature, spatial: str) -> _LinearFront:
@@ -540,8 +560,8 @@ def _rotation_front(sig: _Signature, spatial: str) -> _LinearFront:
         src, dst = _DIAG, _HV
     else:
         raise ValueError(f"mode {spatial} holds polarizations {pols}; expected all H/V or all +/-")
-    targets = (ModeId(spatial, dst[0]), ModeId(spatial, dst[1]))
-    return _LinearFront(((ModeId(spatial, pol), targets) for pol in pols), tuple(c for pol in pols for c in (_S, _S if pol == src[0] else -_S)))
+    s, targets = 1.0 / math.sqrt(2.0), (ModeId(spatial, dst[0]), ModeId(spatial, dst[1]))
+    return _LinearFront(((ModeId(spatial, pol), targets) for pol in pols), tuple(c for pol in pols for c in (s, s if pol == src[0] else -s)))
 
 
 def apply_rotation_45(state: FockState, spatial: str) -> FockState:
@@ -552,8 +572,7 @@ def apply_rotation_45(state: FockState, spatial: str) -> FockState:
     then its inverse is the identity.  A mode whose photons mix the two bases,
     or include an unpolarized one, raises ValueError.
     """
-    front = _layout(_rotation_front, state._packed(), spatial)
-    return _linear(state, front, front.consts)
+    return _linear(state, _layout(_rotation_front, state._packed(), spatial))
 
 
 def _loss_front(sig: _Signature, spatial: str, tag: str) -> _LinearFront:
