@@ -224,7 +224,7 @@ class FockState:
 
 # ------------------------------------------------------ layouts and tapes
 
-# Layouts, signatures and tapes (see the module docstring).  Keys never hold
+# Front ends, layouts, signatures and tapes (see the module docstring).  Keys never hold
 # coefficients: a random p_de per call would make a new entry per call.
 _LAYOUT_LIMIT = 4096
 _LAYOUTS: dict[object, object] = {}

@@ -680,7 +680,6 @@ def test_measure_all_replay_is_bit_identical_to_reference(state, detected, keep_
     )
 
 
-
 def _fresh_outcome(run, state):
     fock._LAYOUTS.clear()
     return _outcome(run, state)
