@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, Sequence
 
 from .rydberg import detuned_params, loss_from_phase
@@ -163,7 +165,15 @@ def find_optimal_phase(protocol: str, od_b: float, p_de: float = 1.0) -> Optimal
 
 
 def log_grid(start: float, stop: float, n: int) -> list[float]:
-    """``n >= 2`` log-spaced points from ``start`` to ``stop``, both ends exact."""
+    """``n >= 2`` log-spaced points from ``start`` to ``stop``, both ends exact.
+
+    Fewer than two points, or a start or stop that is not finite and
+    positive, raise ValueError.
+    """
+    if n < 2:
+        raise ValueError(f"a log grid needs at least 2 points, got {n}")
+    if not (0.0 < start < math.inf and 0.0 < stop < math.inf):
+        raise ValueError(f"a log grid needs a finite, positive start and stop, got {start!r} and {stop!r}")
     ratio = stop / start
     return [start * ratio ** (i / (n - 1)) for i in range(n - 1)] + [stop]
 
@@ -178,12 +188,12 @@ def loglog_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     n = len(pairs)
     if n < 2:
         return math.nan, math.nan
-    mx = sum(p[0] for p in pairs) / n
-    my = sum(p[1] for p in pairs) / n
-    sxx = sum((p[0] - mx) ** 2 for p in pairs)
+    mx = reduce(add, (p[0] for p in pairs), 0.0) / n
+    my = reduce(add, (p[1] for p in pairs), 0.0) / n
+    sxx = reduce(add, ((p[0] - mx) ** 2 for p in pairs), 0.0)
     if sxx == 0.0:
         return math.nan, math.nan
-    slope = sum((p[0] - mx) * (p[1] - my) for p in pairs) / sxx
+    slope = reduce(add, ((p[0] - mx) * (p[1] - my) for p in pairs), 0.0) / sxx
     return slope, my - slope * mx
 
 

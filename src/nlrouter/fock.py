@@ -22,21 +22,18 @@ builds its dict only when something reads it.  A linear element keeps a
 front end per (element kind, ports, loss tag, input signature): the targets
 of each source mode that holds photons and any constant coefficients, never
 one that depends on a value (a phase, a transmission) nor a refusal.  On
-the second sight of an (element structure, input signature) pair an element
+the first sight of an (element structure, input signature) pair an element
 records a tape of its term loop, in the loop's order: per input slot the
 output slots it adds to, with the plan monomial (linear map) or branch
 factors (medium, multiplied left to right) that scale it, or per pattern
-the slots it sums (measurement).  Every later call replays the tape.  A
-linear map records while it runs its term loop on slots, and runs it
-without recording on a first sight; the medium and the measurement record
-first and replay the tape, which on a first sight they do not keep.  So a
-pair met once keeps no tape.  Tapes hold structure, never coefficients.
-The replay keeps the loop's two value-dependent branches: prune's
-``abs(a) > PRUNE_TOL`` drops slots and keeps the order of the rest, and the
-medium skips a zero branch, so a slot sits where its first nonzero branch
-put it.  Front ends, layouts, signatures and tapes share one table, and
-kept tapes share one copy of each equal step; both are cleared once the
-table holds ``_LAYOUT_LIMIT`` entries, which bounds their memory together.
+the slots it sums (measurement).  It keeps the tape and replays it, on that
+call and on every later one, so each element computes amplitudes in one
+place only.  Tapes hold structure, never coefficients.  The replay keeps
+the loop's two value-dependent branches: prune's ``abs(a) > PRUNE_TOL``
+drops slots and keeps the order of the rest, and the medium skips a zero
+branch, so a slot sits where its first nonzero branch put it.  Front ends, layouts, signatures and tapes share one table, and
+tapes share one copy of each equal step; both are cleared once the table
+holds ``_LAYOUT_LIMIT`` entries, which bounds their memory together.
 
 Every element acts only on the polarization submodes of a spatial mode that
 hold photons (``_sig_pols``): a photon-free submode is left alone and
@@ -51,7 +48,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
-from operator import itemgetter, mul, truediv
+from operator import add, itemgetter, mul, truediv
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -167,7 +164,7 @@ class FockState:
         return FockState(modes, {occ + pad: a for occ, a in self.terms.items()}) if grown else self
 
     def norm_squared(self) -> float:
-        return sum((a.real * a.real + a.imag * a.imag) for a in self.terms.values())
+        return reduce(add, (a.real * a.real + a.imag * a.imag for a in self.terms.values()), 0.0)
 
     def total_photons(self) -> set[int]:
         """Set of total photon numbers present across basis terms."""
@@ -228,8 +225,7 @@ class FockState:
 # coefficients: a random p_de per call would make a new entry per call.
 _LAYOUT_LIMIT = 4096
 _LAYOUTS: dict[object, object] = {}
-_SEEN = object()  # a tape key met once; its next sight keeps the tape
-_STEPS: dict[tuple, tuple] = {}  # one copy of each step of a kept tape, shared by every kept tape
+_STEPS: dict[tuple, tuple] = {}  # one copy of each equal step, shared by every tape
 
 
 def _remember(key: tuple, value: object) -> object:
@@ -249,31 +245,6 @@ def _layout(build: Callable, *shape):
 
 def _shared(step: tuple) -> tuple:
     return _STEPS.setdefault(step, step)
-
-
-def _own(step: tuple) -> tuple:
-    return step
-
-
-def _sight(key: tuple) -> object:
-    """The tape kept under ``key``; else ``_SEEN`` on the key's second sight, whose call
-    keeps the tape it records, and None on its first, whose call keeps none."""
-    tape = _LAYOUTS.get(key)
-    if tape is None:
-        _remember(key, _SEEN)
-    return tape
-
-
-def _tape(key: tuple, record: Callable[[Callable[[tuple], tuple]], tuple]) -> tuple:
-    """The tape under ``key``, made by ``record(share)``, which passes each step through ``share``:
-    on the key's first sight each step itself, and the tape is not kept; on its second
-    ``_STEPS``' copy, and the tape is kept for every later sight."""
-    tape = _sight(key)
-    if tape is None:
-        return record(_own)
-    if tape is _SEEN:
-        tape = _remember(key, record(_shared))
-    return tape
 
 
 class _Signature:
@@ -406,44 +377,21 @@ class _LinearLayout:
         return plans
 
 
-def _linear_run(layout: _LinearLayout, plans: _Plans, sig: _Signature, amps: list[complex], keep: bool) -> tuple:
-    """The term loop on slots: the output keys in order of first use, their amplitudes before
-    pruning and, with ``keep``, the tape (layout; local patterns; per input slot the output slot of
-    each monomial of its pattern, then the pattern's index; output signature), else None.  A
-    pattern's monomials do not depend on the coefficients."""
+def _linear_tape(layout: _LinearLayout, plans: _Plans, sig: _Signature) -> tuple:
+    """The term loop's structure on slots: (layout; local patterns; per input slot the output slot
+    of each monomial of its pattern, then the pattern's index; output signature), each output slot
+    numbered on first use.  A pattern's monomials (one, with no changes, for a pattern with no
+    photon to move) do not depend on the coefficients."""
     slots: dict[bytes, int] = {}
     patterns: dict[Sequence[int], int] = {}
     steps = []
-    out: list[complex] = []
-    for occ, amp in zip(sig.keys(), amps):
+    for occ in sig.keys():
         occ += layout.pad
         local = layout.project(occ)
-        divisors, monomials = plans[local]
-        if divisors:
-            amp = reduce(truediv, divisors, amp)  # amp / d1 / d2 ..., in order
-            step = []
-            for changes, coeff, factor in monomials:
-                k = _moved(occ, changes)
-                j = slots.get(k)
-                if j is None:
-                    j = slots[k] = len(out)
-                    out.append(0.0j + amp * coeff * factor)  # a slot starts at 0.0j, as in the replay
-                else:
-                    out[j] += amp * coeff * factor
-                step.append(j)
-        else:
-            j = slots.get(occ)
-            if j is None:
-                j = slots[occ] = len(out)
-                out.append(0.0j + amp)
-            else:
-                out[j] += amp
-            step = [j]
-        if keep:
-            step.append(patterns.setdefault(_shared(local), len(patterns)))
-            steps.append(_shared(tuple(step)))
-    keys = list(slots)
-    return keys, out, (layout, tuple(patterns), tuple(steps), _signature(layout.modes, keys)) if keep else None
+        step = [slots.setdefault(_moved(occ, changes), len(slots)) for changes, _, _ in plans[local][1]]
+        step.append(patterns.setdefault(_shared(local), len(patterns)))
+        steps.append(_shared(tuple(step)))
+    return layout, tuple(patterns), tuple(steps), _signature(layout.modes, list(slots))
 
 
 class _LinearFront:
@@ -460,16 +408,10 @@ def _linear(state: FockState, front: _LinearFront, coeffs: Optional[tuple] = Non
     if not front.structure:
         return state
     coeffs = front.consts if coeffs is None else coeffs
-    sig = state._sig
-    tape = _sight(front)
-    if tape is None or tape is _SEEN:  # the term loop, which records the tape on the second sight
-        layout = _layout(_LinearLayout, sig.modes, front.structure)
-        keys, out, tape = _linear_run(layout, layout.planner(coeffs), sig, state._amps, keep=tape is _SEEN)
-        if tape is None:
-            above = list(map(PRUNE_TOL.__lt__, map(abs, out)))
-            return FockState._of(_signature(layout.modes, list(compress(keys, above))), list(compress(out, above)))
-        _remember(front, tape)
-        return _replayed(tape[3], out)
+    tape = _LAYOUTS.get(front)
+    if tape is None:
+        layout = _layout(_LinearLayout, state._sig.modes, front.structure)
+        tape = _remember(front, _linear_tape(layout, layout.planner(coeffs), state._sig))
     layout, patterns, steps, out_sig = tape
     plans = list(map(layout.planner(coeffs).__getitem__, patterns))
     out = [0.0j] * out_sig.count
@@ -505,7 +447,13 @@ def _sig_pols(sig: _Signature, spatial: str) -> list[Optional[str]]:
     return sorted({m.pol for i, m in enumerate(sig.modes) if m.spatial == spatial and not m.sink and any(p[i::w])}, key=str)
 
 
+def _distinct_ports(element: str, in1: Optional[str], in2: Optional[str], out1: str, out2: str) -> None:
+    if (in1 is not None and in1 == in2) or out1 == out2:
+        raise ValueError(f"{element} ports repeat: in {in1!r}, {in2!r}; out {out1!r}, {out2!r}")
+
+
 def _beamsplitter_front(sig: _Signature, in1: Optional[str], in2: Optional[str], out1: str, out2: str) -> _LinearFront:
+    _distinct_ports("beam splitter", in1, in2, out1, out2)
     s = 1.0 / math.sqrt(2.0)
     pairs = {src: dsts for src, dsts in ((in1, (out2, out1)), (in2, (out1, out2))) if src is not None}
     structure = [(ModeId(src, pol), tuple(ModeId(d, pol) for d in dsts)) for src, dsts in pairs.items() for pol in _sig_pols(sig, src)]
@@ -516,7 +464,8 @@ def apply_beamsplitter(state: FockState, in1: Optional[str], in2: Optional[str],
     """Balanced beam splitter: in1 -> (out2 + i out1)/sqrt2, in2 -> (out1 + i out2)/sqrt2.
 
     Either input may be ``None`` (vacuum port).  Polarization submodes are
-    transformed independently.
+    transformed independently.  Two equal inputs or two equal outputs raise
+    ValueError.
     """
     return _linear(state, _layout(_beamsplitter_front, state._packed(), in1, in2, out1, out2))
 
@@ -533,6 +482,7 @@ def apply_phase(state: FockState, spatial: str, phase: float) -> FockState:
 
 
 def _pbs_front(sig: _Signature, in1: str, in2: str, out1: str, out2: str) -> _LinearFront:
+    _distinct_ports("PBS", in1, in2, out1, out2)
     mapping: dict[ModeId, tuple[ModeId]] = {}
     for src, t_out, r_out in ((in1, out2, out1), (in2, out1, out2)):
         for pol in _sig_pols(sig, src):
@@ -547,7 +497,8 @@ def apply_pbs(state: FockState, in1: str, in2: str, out1: str, out2: str) -> Foc
 
     in1_H -> out2_H, in1_V -> i*out1_V, in2_H -> out1_H, in2_V -> i*out2_V.
     Photons must be expressed in the H/V basis: a diagonal or unpolarized
-    photon in either input raises ValueError.
+    photon in either input raises ValueError, as do two equal inputs or two
+    equal outputs.
     """
     return _linear(state, _layout(_pbs_front, state._packed(), in1, in2, out1, out2))
 
@@ -678,16 +629,17 @@ class _MediumLayout:
         ]
 
 
-def _medium_tape(layout: _MediumLayout, sig: _Signature, coupling: str, share: Callable) -> tuple:
+def _medium_tape(sig: _Signature, arm: str, basis: str, coupling: str) -> tuple:
     """(output signature, per input slot the output slot and factors of each branch), or
     (None, None) when no arm mode is in the registry."""
+    layout = _layout(_MediumLayout, sig.modes, arm, basis)
     if not layout.idx:
         return None, None
     slots: dict[bytes, int] = {}
     steps = []
     for occ in sig.keys():
         step = tuple((slots.setdefault(k, len(slots)), f) for k, f in layout.branches(occ + layout.pad, coupling))
-        steps.append(share(step))
+        steps.append(_shared(step))
     return _signature(layout.modes, list(slots)), tuple(steps)
 
 
@@ -714,14 +666,7 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
     # a branch's amplitude is the term's times its factors, left to right
     factors = ((), (t1, e1), (r1,), (t1, t2, e12), (k,), (k, w), (r1, w), ((t1 * e1) ** 2,), (t1, e1, r1), (r1, r1))
 
-    sig = state._packed()
-    basis, coupling = spec.interaction_basis, spec.pair_coupling
-    key = (apply_nonlinear_medium, sig, arm, basis, coupling)
-
-    def record(share: Callable) -> tuple:
-        return _medium_tape(_layout(_MediumLayout, sig.modes, arm, basis), sig, coupling, share)
-
-    out_sig, steps = _tape(key, record)
+    out_sig, steps = _layout(_medium_tape, state._packed(), arm, spec.interaction_basis, spec.pair_coupling)
     if steps is None:
         return state
     out: dict[int, complex] = {}
@@ -778,6 +723,8 @@ class _MeasureLayout:
     __slots__ = ("modes", "pad", "project", "detected", "patterns", "rest_modes", "rest")
 
     def __init__(self, modes: tuple[ModeId, ...], detected: tuple[ModeId, ...]):
+        if len(set(detected)) != len(detected):
+            raise ValueError(f"a detected mode is listed twice: {[m.label() for m in detected]}")
         self.modes, grown = _grown(modes, detected)
         self.pad = bytes(grown)
         index = {m: i for i, m in enumerate(self.modes)}
@@ -789,9 +736,10 @@ class _MeasureLayout:
         self.rest_modes, self.rest = tuple(self.modes[i] for i in rest_idx), _projector(rest_idx)
 
 
-def _measure_tape(layout: _MeasureLayout, sig: _Signature, keep_posterior: bool, share: Callable) -> tuple:
+def _measure_tape(sig: _Signature, detected: tuple[ModeId, ...], keep_posterior: bool) -> tuple:
     """Per detected key, in sorted order: its pattern, the input slots it sums (in order) and,
     with ``keep_posterior``, the signature of their undetected parts."""
+    layout = _layout(_MeasureLayout, sig.modes, detected)
     keys = [occ + layout.pad for occ in sig.keys()]
     groups: dict[Sequence[int], list[int]] = defaultdict(list)
     for i, occ in enumerate(keys):
@@ -803,7 +751,7 @@ def _measure_tape(layout: _MeasureLayout, sig: _Signature, keep_posterior: bool,
         pattern = layout.patterns.get(key)
         if pattern is None:  # shared by every tape on this layout
             pattern = layout.patterns[key] = tuple((m, n) for m, n in zip(layout.detected, key) if n)
-        tape.append((pattern, share(slots), post))
+        tape.append((pattern, _shared(slots), post))
     return tuple(tape)
 
 
@@ -814,21 +762,15 @@ def measure_all(state: FockState, detected: Sequence[ModeId], keep_posterior: bo
     modes that clicked, in the order of ``detected``.  Undetected modes
     (including every sink) are marginalized.  Posteriors are built only on
     request (``keep_posterior``): each is the renormalized conditional state
-    with the detected modes projected out.
+    with the detected modes projected out.  A mode listed twice in
+    ``detected`` raises ValueError.
     """
-    detected = tuple(detected)
-    sig = state._packed()
-    key = (measure_all, sig, detected, keep_posterior)
-
-    def record(share: Callable) -> tuple:
-        return _measure_tape(_layout(_MeasureLayout, sig.modes, detected), sig, keep_posterior, share)
-
-    tape = _tape(key, record)
+    tape = _layout(_measure_tape, state._packed(), tuple(detected), keep_posterior)
     amps = state._amps
     records = []
     for pattern, slots, post_sig in tape:
         group = [amps[i] for i in slots]
-        prob = sum(map(pow, map(abs, group), repeat(2)))  # abs(a) ** 2, summed in order
+        prob = reduce(add, map(pow, map(abs, group), repeat(2)), 0.0)  # abs(a) ** 2, summed left to right
         post = None
         if keep_posterior and prob > 0.0:
             factor = 1.0 / math.sqrt(prob)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Optional
 
 from .fock import (
@@ -274,9 +275,9 @@ def _bell_measurement(
     n = len(results)
     return ProtocolResult(
         protocol=protocol,
-        p_success=sum(r.p_success for r in results.values()) / n,
-        p_heralded_failure=sum(r.p_heralded_failure for r in results.values()) / n,
-        p_false_positive=sum(r.p_false_positive for r in results.values()) / n,
+        p_success=reduce(add, (r.p_success for r in results.values()), 0.0) / n,
+        p_heralded_failure=reduce(add, (r.p_heralded_failure for r in results.values()), 0.0) / n,
+        p_false_positive=reduce(add, (r.p_false_positive for r in results.values()), 0.0) / n,
         per_state=results,
     )
 
@@ -408,7 +409,7 @@ def run_ghz(
             inner = sub.posterior
             out_idx = [i for i, m in enumerate(inner.modes) if m.spatial == out_sp and not m.sink]
             filled = {occ: a for occ, a in inner.terms.items() if sum(occ[i] for i in out_idx) == 1}
-            p_filled = sum(abs(a) ** 2 for a in filled.values())
+            p_filled = reduce(add, (abs(a) ** 2 for a in filled.values()), 0.0)
             p_empty = 1.0 - p_filled
             if p_filled > 0.0:
                 ket = FockState(inner.modes, filled).normalized()

@@ -8,6 +8,8 @@ import math
 import random
 import subprocess
 import sys
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -177,9 +179,9 @@ def test_7_scaling_exponents():
 def _loglog_slope(xs, ys):
     pts = [(math.log(x), math.log(y)) for x, y in zip(xs, ys)]
     n = len(pts)
-    mx = sum(p[0] for p in pts) / n
-    my = sum(p[1] for p in pts) / n
-    return sum((p[0] - mx) * (p[1] - my) for p in pts) / sum((p[0] - mx) ** 2 for p in pts)
+    mx = reduce(add, (p[0] for p in pts), 0.0) / n
+    my = reduce(add, (p[1] for p in pts), 0.0) / n
+    return reduce(add, ((p[0] - mx) * (p[1] - my) for p in pts), 0.0) / reduce(add, ((p[0] - mx) ** 2 for p in pts), 0.0)
 
 
 def test_8_channel_sanity_suite():

@@ -151,6 +151,23 @@ class TestScalingFits:
         assert grid[0] == start and grid[-1] == stop
         assert grid == sorted(grid, reverse=start > stop)
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: log_grid(60.0, 2000.0, 1), "at least 2 points"),
+            (lambda: log_grid(60.0, 2000.0, 0), "at least 2 points"),
+            (lambda: log_grid(-1.0, 10.0, 3), "finite, positive start"),  # gave complex points
+            (lambda: log_grid(60.0, -0.0, 3), "finite, positive start"),
+            (lambda: log_grid(60.0, math.inf, 20), "finite, positive start"),
+            (lambda: log_grid(math.nan, 10.0, 3), "finite, positive start"),
+            (lambda: fit_scaling_exponent("ghz", od_min=0.0), "finite, positive start"),  # divided by zero
+        ],
+        ids=["one-point", "no-point", "negative-start", "negative-zero-stop", "infinite-stop", "nan-start", "fit-zero-od-min"],
+    )
+    def test_a_bad_log_grid_is_refused(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
 
 _PIN_GRID = ["--phi", "0:pi:512", "--odb", "15,30,60,240,inf", "--pde", "0.9,0.98,1"]  # has unreachable rows
 

@@ -7,6 +7,8 @@ import pickle
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -274,7 +276,7 @@ def random_two_mode_states(draw, max_total=2):
     if not terms or all(abs(a) < 1e-9 for a in terms.values()):
         terms = {(1, 0): 1.0 + 0.0j}
     modes = (ModeId("a", "+"), ModeId("a", "-"))
-    norm = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
+    norm = math.sqrt(reduce(add, (abs(a) ** 2 for a in terms.values()), 0.0))
     return FockState(modes, {k: v / norm for k, v in terms.items()})
 
 
@@ -486,7 +488,7 @@ def reference_measure_all(state, detected, keep_posterior=False):
     records = []
     for key in sorted(groups):
         sub = groups[key]
-        prob = sum(abs(a) ** 2 for a in sub.values())
+        prob = reduce(add, (abs(a) ** 2 for a in sub.values()), 0.0)  # left to right on every Python
         pattern = tuple((m, n) for m, n in zip(detected, key) if n)
         post = None
         if keep_posterior and prob > 0.0:
@@ -550,9 +552,9 @@ def _outcome(run, state):
 
 def assert_replay_matches_reference(run_a, run_b, ref_a, ref_b, state):
     """``run_a`` and ``run_b`` are one element with two coefficient sets, ``ref_a`` and
-    ``ref_b`` its reference.  On an empty table, A's first sight keeps no tape, B's
-    second sight records and keeps it, and A's third sight replays it; each must give
-    the reference's bits."""
+    ``ref_b`` its reference.  On an empty table, A's first sight records the tape and
+    replays it, and B's second sight and A's third replay it with their own
+    coefficients; each must give the reference's bits."""
     fock._LAYOUTS.clear()
     for run, ref in ((run_a, ref_a), (run_b, ref_b), (run_a, ref_a)):
         assert _outcome(run, state) == _outcome(ref, state)
@@ -696,8 +698,8 @@ _ELEMENTS = {
 @settings(max_examples=60, deadline=None)
 @given(few_photon_states(max_total=3), st.data())
 def test_a_front_end_memo_never_holds_a_value(kind, state, data):
-    # one element on one signature with a value that alternates: its front end is made
-    # on the first sight, its tape on the second, and both are reused; every call must
+    # one element on one signature with a value that alternates: its front end and its
+    # tape are made on the first sight and reused by every later one; every call must
     # give the bits of the same call on an emptied table
     element, values = _ELEMENTS[kind]
     runs = [element(data.draw(values)) for _ in range(2)]
@@ -713,8 +715,13 @@ def test_a_front_end_memo_never_holds_a_value(kind, state, data):
         (lambda s: apply_pbs(s, "a", "b", "c", "d"), one_photon("a", "+"), "expected H/V"),
         (lambda s: apply_pbs(s, "a", "b", "c", "d"), FockState.from_occupations({ModeId("a", "H"): 1, ModeId("b", None): 1}), "expected H/V"),
         (lambda s: apply_rotation_45(s, "a"), FockState.from_occupations({ModeId("a", "H"): 1, ModeId("a", "+"): 1}), "expected all H/V or all"),
+        (lambda s: apply_pbs(s, "a", "b", "c", "c"), FockState.from_occupations({ModeId("a", "H"): 1, ModeId("b", "H"): 1}), "PBS ports repeat"),
+        (lambda s: apply_pbs(s, "a", "a", "c", "d"), one_photon("a", "H"), "PBS ports repeat"),
+        (lambda s: apply_beamsplitter(s, "a", "a", "c", "d"), one_photon("a", "+"), "beam splitter ports repeat"),
+        (lambda s: apply_beamsplitter(s, "a", None, "c", "c"), one_photon("a", "+"), "beam splitter ports repeat"),
+        (lambda s: measure_all(s, [ModeId("a", "H"), ModeId("a", "H")]), one_photon("a", "H"), "listed twice"),
     ],
-    ids=["pbs-diagonal", "pbs-unpolarized", "rotation-mixed"],
+    ids=["pbs-diagonal", "pbs-unpolarized", "rotation-mixed", "pbs-outputs", "pbs-inputs", "bs-inputs", "bs-outputs", "measure-twice"],
 )
 def test_a_refusal_is_raised_on_every_sight(run, state, match):
     fock._LAYOUTS.clear()

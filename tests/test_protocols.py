@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 import threading
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -63,7 +65,7 @@ class TestRouter:
                         assert abs(sim.get(port, 0.0) - p) < EXACT
 
     def test_probabilities_sum_to_one(self):
-        total = sum(run_router(2.0, 12.0).values())
+        total = reduce(add, run_router(2.0, 12.0).values(), 0.0)
         assert abs(total - 1.0) < EXACT
 
     def test_invalid_photon_number(self):
@@ -250,7 +252,7 @@ class TestBitExactPins:
             (0, 0): "0x1.a0c9e1c6548ffp-9",
             (1, 0): "0x1.fe5f361e39ab2p-1",
         }
-        assert sum(probs.values()).hex() == "0x1.ffffffffffffbp-1"
+        assert reduce(add, probs.values(), 0.0).hex() == "0x1.ffffffffffffbp-1"
 
     @pytest.mark.parametrize(
         "run, digest",
@@ -346,7 +348,7 @@ class TestCacheCoherence:
         monkeypatch.setattr(fock, "_LAYOUTS", {})
         n = len(_COHERENCE_CALLS)
         forward = list(range(n))
-        # first sights, then recorded tapes, then replays, each round in another order
+        # first sights, which record each tape, then two rounds of replays, each round in another order
         for order in (forward, forward[::-1], forward[n // 2 :] + forward[: n // 2]):
             assert [_coherence_bits(_COHERENCE_CALLS[i]) for i in order] == [fresh[i] for i in order]
 
