@@ -167,14 +167,17 @@ def find_optimal_phase(protocol: str, od_b: float, p_de: float = 1.0) -> Optimal
 def log_grid(start: float, stop: float, n: int) -> list[float]:
     """``n >= 2`` log-spaced points from ``start`` to ``stop``, both ends exact.
 
-    Fewer than two points, or a start or stop that is not finite and
-    positive, raise ValueError.
+    Fewer than two points, a start or stop that is not finite and positive,
+    or a stop/start ratio that overflows to infinity or underflows to zero
+    raise ValueError.
     """
     if n < 2:
         raise ValueError(f"a log grid needs at least 2 points, got {n}")
     if not (0.0 < start < math.inf and 0.0 < stop < math.inf):
         raise ValueError(f"a log grid needs a finite, positive start and stop, got {start!r} and {stop!r}")
     ratio = stop / start
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"a log grid needs a finite, nonzero stop/start ratio, got {start!r} and {stop!r}")
     return [start * ratio ** (i / (n - 1)) for i in range(n - 1)] + [stop]
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TextIO
 
 from . import analytics, protocols
-from .rydberg import loss_from_phase
+from .rydberg import _reachable, loss_from_phase
 
 USAGE_ERROR, NUMERICAL_ERROR, IO_ERROR = 1, 2, 3
 MAX_POINTS = 1_000_000  # per range and per sweep grid, checked before the grid is built
@@ -199,6 +199,8 @@ def _sweep_point_rows(protocol: str, engine: str, pt: SweepPoint) -> list[dict]:
         s_val = spec.simulate(*args) if engine != "formula" else None
         status = "ok"
     except ValueError:
+        if _reachable(pt.phi, pt.od_b, pt.phi1):
+            raise  # an engine fault at a reachable point: exit 2, with nothing written
         f_val = s_val = None
         status = "unreachable"
     if protocol != "router":
@@ -325,17 +327,15 @@ def cmd_circle(args: argparse.Namespace) -> int:
 
 
 def _parse_od_range(text: str) -> list[float]:
-    """Log-spaced ``start:stop:points`` optical depths, both bounds finite and positive."""
+    """Log-spaced ``start:stop:points`` optical depths; a grid ``analytics.log_grid`` refuses is a usage error."""
     parts = text.split(":")
     if len(parts) != 3:
         raise CliError(f"od_b range must be start:stop:points, got {text!r}", USAGE_ERROR)
-    lo, hi = _parse_float(parts[0]), _parse_float(parts[1])
-    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
-        raise CliError("od_b range bounds must be finite and positive", USAGE_ERROR)
-    ratio = hi / lo
-    if not 0.0 < ratio < math.inf:
-        raise CliError(f"od_b range {text!r} has a stop/start ratio of {ratio:g}; it must be finite and nonzero", USAGE_ERROR)
-    return analytics.log_grid(lo, hi, _parse_count(parts[2], "od_b range"))
+    lo, hi, n = _parse_float(parts[0]), _parse_float(parts[1]), _parse_count(parts[2], "od_b range")
+    try:
+        return analytics.log_grid(lo, hi, n)
+    except ValueError as exc:
+        raise CliError(f"bad od_b range {text!r}: {exc}", USAGE_ERROR) from None
 
 
 def cmd_opt_phase(args: argparse.Namespace) -> int:

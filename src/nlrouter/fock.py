@@ -8,32 +8,30 @@ normalized ket and total photon number is conserved exactly.
 The golden datasets pin the simulator's ``abs_delta`` column to the last
 ulp, so a change to this engine must keep every floating-point operation
 and its order (and the insertion order of every term dict) as it is.  Work
-that repeats is memoised instead.  Each element's layout (the grown
-registry, the positions it reads and writes, its projectors) is built once
-per circuit shape, keyed by the registry and the element's structure, never
-by coefficients.  A linear map's layout also holds its added-photon plans,
-one per occupation pattern of the touched modes, for the last coefficient
-vector it saw.
+that repeats is memoised instead, in one table keyed by structure and input
+signature, never by coefficients.
 
 Inside the engine a state is a signature, its ordered occupation keys
 packed once as ``bytes`` (one byte per mode: at most 255 photons) and
 interned, and a list of amplitudes; ``FockState.terms``, a read-only view,
-builds its dict only when something reads it.  A linear element keeps a
-front end per (element kind, ports, loss tag, input signature): the targets
-of each source mode that holds photons and any constant coefficients, never
-one that depends on a value (a phase, a transmission) nor a refusal.  On
-the first sight of an (element structure, input signature) pair an element
-records a tape of its term loop, in the loop's order: per input slot the
-output slots it adds to, with the plan monomial (linear map) or branch
-factors (medium, multiplied left to right) that scale it, or per pattern
-the slots it sums (measurement).  It keeps the tape and replays it, on that
-call and on every later one, so each element computes amplitudes in one
-place only.  Tapes hold structure, never coefficients.  The replay keeps
-the loop's two value-dependent branches: prune's ``abs(a) > PRUNE_TOL``
-drops slots and keeps the order of the rest, and the medium skips a zero
-branch, so a slot sits where its first nonzero branch put it.  Front ends, layouts, signatures and tapes share one table, and
-tapes share one copy of each equal step; both are cleared once the table
-holds ``_LAYOUT_LIMIT`` entries, which bounds their memory together.
+builds its dict only when something reads it.  An element call makes one
+table entry: on the first sight of an (element structure, input signature)
+pair the element records a tape of its term loop, in the loop's order: per
+input slot the output slots it adds to, with the plan monomial (linear map)
+or branch factors (medium, multiplied left to right) that scale it, or per
+pattern the slots it sums (measurement).  It replays the tape on that call
+and every later one, so each element computes amplitudes in one place only.
+A linear element's entry also holds its constant coefficients and source
+count, never a value (a phase, a transmission) nor a refusal; tapes hold no
+coefficients.  The replay keeps the loop's two value-dependent branches:
+prune's ``abs(a) > PRUNE_TOL`` drops slots and keeps the order of the rest,
+and the medium skips a zero branch, so a slot sits where its first nonzero
+branch put it.  Only a linear map's layout (the grown registry, the touched
+positions and its added-photon plans per occupation pattern, for the last
+coefficient vector it saw) is shared: every tape on its registry reads its
+plans.  The medium and the measurement keep no layout.  Signatures share
+the table, and tapes one copy of each equal step; both are cleared once the
+table holds ``_LAYOUT_LIMIT`` entries, which bounds their memory together.
 
 Every element acts only on the polarization submodes of a spatial mode that
 hold photons (``_sig_pols``): a photon-free submode is left alone and
@@ -221,8 +219,8 @@ class FockState:
 
 # ------------------------------------------------------ layouts and tapes
 
-# Front ends, layouts, signatures and tapes (see the module docstring).  Keys never hold
-# coefficients: a random p_de per call would make a new entry per call.
+# Element entries, linear layouts and signatures (see the module docstring).  Keys never
+# hold coefficients: a random p_de per call would make a new entry per call.
 _LAYOUT_LIMIT = 4096
 _LAYOUTS: dict[object, object] = {}
 _STEPS: dict[tuple, tuple] = {}  # one copy of each equal step, shared by every tape
@@ -361,9 +359,13 @@ class _LinearLayout:
         pos = {self.modes[i]: k for k, i in enumerate(self.touched)}
         self.shape = [(pos[m], [pos[t] for t in outs]) for m, outs in structure]
         self.project = _projector(self.touched)
-        # (coefficients, their plans), replaced whole so that a call never reads
-        # plans made for other coefficients
-        self.plans: tuple[tuple, _Plans] = ((), _Plans([], []))
+        # (coefficients, their plans), replaced whole so that a call never reads plans made
+        # for other coefficients; unit ones under (), which no call passes, serve recording
+        self.plans: tuple[tuple, _Plans] = ((), self._planned(repeat(1.0)))
+
+    def _planned(self, coeffs: Iterable[complex]) -> _Plans:
+        it = iter(coeffs)
+        return _Plans([(i, [(j, next(it)) for j in js]) for i, js in self.shape], self.touched)
 
     def planner(self, coeffs: tuple) -> _Plans:
         """The plans for ``coeffs``: per source, in order, one coefficient per target."""
@@ -371,8 +373,7 @@ class _LinearLayout:
         # a plan's coefficients are sums that start at 0.0j, so coefficients equal
         # under == (0.0 and -0.0 alike) give bit-identical plans
         if known != coeffs:
-            it = iter(coeffs)
-            plans = _Plans([(i, [(j, next(it)) for j in js]) for i, js in self.shape], self.touched)
+            plans = self._planned(coeffs)
             self.plans = (coeffs, plans)
         return plans
 
@@ -381,7 +382,7 @@ def _linear_tape(layout: _LinearLayout, plans: _Plans, sig: _Signature) -> tuple
     """The term loop's structure on slots: (layout; local patterns; per input slot the output slot
     of each monomial of its pattern, then the pattern's index; output signature), each output slot
     numbered on first use.  A pattern's monomials (one, with no changes, for a pattern with no
-    photon to move) do not depend on the coefficients."""
+    photon to move) and their changes are the same for every coefficient vector."""
     slots: dict[bytes, int] = {}
     patterns: dict[Sequence[int], int] = {}
     steps = []
@@ -394,26 +395,24 @@ def _linear_tape(layout: _LinearLayout, plans: _Plans, sig: _Signature) -> tuple
     return layout, tuple(patterns), tuple(steps), _signature(layout.modes, list(slots))
 
 
-class _LinearFront:
-    """A linear element's targets per source mode and constant coefficients on one signature; its tape's key."""
+def _front(sig: _Signature, structure: Iterable[tuple[ModeId, tuple[ModeId, ...]]], consts: Optional[tuple] = None) -> tuple:
+    """A linear element on ``sig``: its tape (None for no source mode, as when none holds a photon),
+    ``consts`` and its number of source modes.  Constant coefficients make the plans the tape reads;
+    any other element reads the layout's current plans, whose changes every coefficient vector shares."""
+    structure = tuple(structure)
+    if not structure:
+        return None, consts, 0
+    layout = _layout(_LinearLayout, sig.modes, structure)
+    return _linear_tape(layout, layout.plans[1] if consts is None else layout.planner(consts), sig), consts, len(structure)
 
-    __slots__ = ("structure", "consts")
 
-    def __init__(self, structure: Iterable[tuple[ModeId, tuple[ModeId, ...]]], consts: tuple = ()):
-        self.structure, self.consts = tuple(structure), consts
-
-
-def _linear(state: FockState, front: _LinearFront, coeffs: Optional[tuple] = None) -> FockState:
-    """Apply ``front``'s map to the packed ``state`` with the flat ``coeffs``, by default its constants."""
-    if not front.structure:
-        return state
-    coeffs = front.consts if coeffs is None else coeffs
-    tape = _LAYOUTS.get(front)
+def _linear(state: FockState, front: tuple, coeffs: Optional[tuple] = None) -> FockState:
+    """Replay ``front``'s tape on the packed ``state`` with the flat ``coeffs``, by default its constants."""
+    tape, consts, _ = front
     if tape is None:
-        layout = _layout(_LinearLayout, state._sig.modes, front.structure)
-        tape = _remember(front, _linear_tape(layout, layout.planner(coeffs), state._sig))
+        return state
     layout, patterns, steps, out_sig = tape
-    plans = list(map(layout.planner(coeffs).__getitem__, patterns))
+    plans = list(map(layout.planner(consts if coeffs is None else coeffs).__getitem__, patterns))
     out = [0.0j] * out_sig.count
     for amp, step in zip(state._amps, steps):
         divisors, monomials = plans[step[-1]]
@@ -426,10 +425,6 @@ def _linear(state: FockState, front: _LinearFront, coeffs: Optional[tuple] = Non
     return _replayed(out_sig, out)
 
 
-def _mapped_front(sig: _Signature, structure: tuple) -> _LinearFront:
-    return _LinearFront(structure)
-
-
 def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[ModeId, complex]]]) -> FockState:
     """Apply a (partial-isometry) linear map on creation operators.
 
@@ -437,7 +432,7 @@ def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[
     operators; occupation factorials are handled so normalized kets map to
     normalized kets whenever the single-photon matrix is an isometry.
     """
-    front = _layout(_mapped_front, state._packed(), tuple((m, tuple(t for t, _ in outs)) for m, outs in mapping.items()))
+    front = _layout(_front, state._packed(), tuple((m, tuple(t for t, _ in outs)) for m, outs in mapping.items()))
     return _linear(state, front, tuple(c for outs in mapping.values() for _, c in outs))
 
 
@@ -452,12 +447,12 @@ def _distinct_ports(element: str, in1: Optional[str], in2: Optional[str], out1: 
         raise ValueError(f"{element} ports repeat: in {in1!r}, {in2!r}; out {out1!r}, {out2!r}")
 
 
-def _beamsplitter_front(sig: _Signature, in1: Optional[str], in2: Optional[str], out1: str, out2: str) -> _LinearFront:
+def _beamsplitter_front(sig: _Signature, in1: Optional[str], in2: Optional[str], out1: str, out2: str) -> tuple:
     _distinct_ports("beam splitter", in1, in2, out1, out2)
     s = 1.0 / math.sqrt(2.0)
     pairs = {src: dsts for src, dsts in ((in1, (out2, out1)), (in2, (out1, out2))) if src is not None}
     structure = [(ModeId(src, pol), tuple(ModeId(d, pol) for d in dsts)) for src, dsts in pairs.items() for pol in _sig_pols(sig, src)]
-    return _LinearFront(structure, (s, 1j * s) * len(structure))
+    return _front(sig, structure, (s, 1j * s) * len(structure))
 
 
 def apply_beamsplitter(state: FockState, in1: Optional[str], in2: Optional[str], out1: str, out2: str) -> FockState:
@@ -470,18 +465,18 @@ def apply_beamsplitter(state: FockState, in1: Optional[str], in2: Optional[str],
     return _linear(state, _layout(_beamsplitter_front, state._packed(), in1, in2, out1, out2))
 
 
-def _phase_front(sig: _Signature, spatial: str) -> _LinearFront:
-    return _LinearFront((ModeId(spatial, pol), (ModeId(spatial, pol),)) for pol in _sig_pols(sig, spatial))
+def _phase_front(sig: _Signature, spatial: str) -> tuple:
+    return _front(sig, [(ModeId(spatial, pol), (ModeId(spatial, pol),)) for pol in _sig_pols(sig, spatial)])
 
 
 def apply_phase(state: FockState, spatial: str, phase: float) -> FockState:
     """Phase shifter: every photon in ``spatial`` picks up exp(i*phase)."""
     c = complex(math.cos(phase), math.sin(phase))
     front = _layout(_phase_front, state._packed(), spatial)
-    return _linear(state, front, (c,) * len(front.structure))
+    return _linear(state, front, (c,) * front[2])  # one per source mode
 
 
-def _pbs_front(sig: _Signature, in1: str, in2: str, out1: str, out2: str) -> _LinearFront:
+def _pbs_front(sig: _Signature, in1: str, in2: str, out1: str, out2: str) -> tuple:
     _distinct_ports("PBS", in1, in2, out1, out2)
     mapping: dict[ModeId, tuple[ModeId]] = {}
     for src, t_out, r_out in ((in1, out2, out1), (in2, out1, out2)):
@@ -489,7 +484,7 @@ def _pbs_front(sig: _Signature, in1: str, in2: str, out1: str, out2: str) -> _Li
             if pol not in _HV:
                 raise ValueError(f"PBS input {src} carries polarization {pol!r}; expected H/V")
             mapping[ModeId(src, pol)] = (ModeId(t_out if pol == "H" else r_out, pol),)
-    return _LinearFront(mapping.items(), tuple(1.0 + 0.0j if m.pol == "H" else 1j for m in mapping))
+    return _front(sig, mapping.items(), tuple(1.0 + 0.0j if m.pol == "H" else 1j for m in mapping))
 
 
 def apply_pbs(state: FockState, in1: str, in2: str, out1: str, out2: str) -> FockState:
@@ -503,7 +498,7 @@ def apply_pbs(state: FockState, in1: str, in2: str, out1: str, out2: str) -> Foc
     return _linear(state, _layout(_pbs_front, state._packed(), in1, in2, out1, out2))
 
 
-def _rotation_front(sig: _Signature, spatial: str) -> _LinearFront:
+def _rotation_front(sig: _Signature, spatial: str) -> tuple:
     pols = _sig_pols(sig, spatial)
     if all(p in _HV for p in pols):
         src, dst = _HV, _DIAG
@@ -512,7 +507,7 @@ def _rotation_front(sig: _Signature, spatial: str) -> _LinearFront:
     else:
         raise ValueError(f"mode {spatial} holds polarizations {pols}; expected all H/V or all +/-")
     s, targets = 1.0 / math.sqrt(2.0), (ModeId(spatial, dst[0]), ModeId(spatial, dst[1]))
-    return _LinearFront(((ModeId(spatial, pol), targets) for pol in pols), tuple(c for pol in pols for c in (s, s if pol == src[0] else -s)))
+    return _front(sig, ((ModeId(spatial, pol), targets) for pol in pols), tuple(c for pol in pols for c in (s, s if pol == src[0] else -s)))
 
 
 def apply_rotation_45(state: FockState, spatial: str) -> FockState:
@@ -526,8 +521,8 @@ def apply_rotation_45(state: FockState, spatial: str) -> FockState:
     return _linear(state, _layout(_rotation_front, state._packed(), spatial))
 
 
-def _loss_front(sig: _Signature, spatial: str, tag: str) -> _LinearFront:
-    return _LinearFront((ModeId(spatial, pol), (ModeId(spatial, pol), ModeId(spatial, pol, sink=True, tag=tag))) for pol in _sig_pols(sig, spatial))
+def _loss_front(sig: _Signature, spatial: str, tag: str) -> tuple:
+    return _front(sig, [(ModeId(spatial, pol), (ModeId(spatial, pol), ModeId(spatial, pol, sink=True, tag=tag))) for pol in _sig_pols(sig, spatial)])
 
 
 def apply_loss(state: FockState, spatial: str, transmission: float, tag: str = "lin") -> FockState:
@@ -537,7 +532,7 @@ def apply_loss(state: FockState, spatial: str, transmission: float, tag: str = "
     t = math.sqrt(transmission)
     r = math.sqrt(1.0 - transmission)
     front = _layout(_loss_front, state._packed(), spatial, tag)
-    return _linear(state, front, (t + 0.0j, r + 0.0j) * len(front.structure))
+    return _linear(state, front, (t + 0.0j, r + 0.0j) * front[2])
 
 
 @dataclass(frozen=True)
@@ -632,7 +627,7 @@ class _MediumLayout:
 def _medium_tape(sig: _Signature, arm: str, basis: str, coupling: str) -> tuple:
     """(output signature, per input slot the output slot and factors of each branch), or
     (None, None) when no arm mode is in the registry."""
-    layout = _layout(_MediumLayout, sig.modes, arm, basis)
+    layout = _MediumLayout(sig.modes, arm, basis)
     if not layout.idx:
         return None, None
     slots: dict[bytes, int] = {}
@@ -717,40 +712,26 @@ class OutcomeRecord:
         return sum(n for _, n in self.pattern)
 
 
-class _MeasureLayout:
-    """Projections of one registry onto one detected-mode list."""
-
-    __slots__ = ("modes", "pad", "project", "detected", "patterns", "rest_modes", "rest")
-
-    def __init__(self, modes: tuple[ModeId, ...], detected: tuple[ModeId, ...]):
-        if len(set(detected)) != len(detected):
-            raise ValueError(f"a detected mode is listed twice: {[m.label() for m in detected]}")
-        self.modes, grown = _grown(modes, detected)
-        self.pad = bytes(grown)
-        index = {m: i for i, m in enumerate(self.modes)}
-        det_idx = [index[m] for m in detected]
-        self.project = _projector(det_idx)
-        self.detected = detected
-        self.patterns: dict[Sequence[int], tuple[tuple[ModeId, int], ...]] = {}
-        rest_idx = sorted(set(range(len(self.modes))) - set(det_idx))
-        self.rest_modes, self.rest = tuple(self.modes[i] for i in rest_idx), _projector(rest_idx)
-
-
 def _measure_tape(sig: _Signature, detected: tuple[ModeId, ...], keep_posterior: bool) -> tuple:
     """Per detected key, in sorted order: its pattern, the input slots it sums (in order) and,
     with ``keep_posterior``, the signature of their undetected parts."""
-    layout = _layout(_MeasureLayout, sig.modes, detected)
-    keys = [occ + layout.pad for occ in sig.keys()]
+    if len(set(detected)) != len(detected):
+        raise ValueError(f"a detected mode is listed twice: {[m.label() for m in detected]}")
+    modes, grown = _grown(sig.modes, detected)
+    pad = bytes(grown)
+    keys = [occ + pad for occ in sig.keys()]
+    det_idx = [modes.index(m) for m in detected]
+    project = _projector(det_idx)
     groups: dict[Sequence[int], list[int]] = defaultdict(list)
     for i, occ in enumerate(keys):
-        groups[layout.project(occ)].append(i)
+        groups[project(occ)].append(i)
+    rest_idx = [i for i in range(len(modes)) if i not in det_idx]
+    rest_modes, rest = tuple(modes[i] for i in rest_idx), _projector(rest_idx)
     tape = []
     for key in sorted(groups):
         slots = tuple(groups[key])
-        post = _signature(layout.rest_modes, [bytes(layout.rest(keys[i])) for i in slots]) if keep_posterior else None
-        pattern = layout.patterns.get(key)
-        if pattern is None:  # shared by every tape on this layout
-            pattern = layout.patterns[key] = tuple((m, n) for m, n in zip(layout.detected, key) if n)
+        post = _signature(rest_modes, [bytes(rest(keys[i])) for i in slots]) if keep_posterior else None
+        pattern = tuple((m, n) for m, n in zip(detected, key) if n)
         tape.append((pattern, _shared(slots), post))
     return tuple(tape)
 

@@ -71,6 +71,11 @@ def _circle(phi: float, od_b: float, branch: str) -> tuple[float, float]:
     return eps, 1.0 - math.exp(-eps)
 
 
+def _reachable(phi: float, od_b: float, phi1: float) -> bool:
+    """Whether :func:`detuned_params` finds both points on the circle: |phi1| and |phi + phi1| at most od_b/4."""
+    return abs(phi1) <= od_b / 4.0 and abs(phi + phi1) <= od_b / 4.0
+
+
 def loss_from_phase(phi: float, od_b: float, branch: str = "lower") -> CirclePoint:
     """Loss exponent and absorbed fraction at conditional phase ``phi``.
 

@@ -161,8 +161,10 @@ class TestScalingFits:
             (lambda: log_grid(60.0, math.inf, 20), "finite, positive start"),
             (lambda: log_grid(math.nan, 10.0, 3), "finite, positive start"),
             (lambda: fit_scaling_exponent("ghz", od_min=0.0), "finite, positive start"),  # divided by zero
+            (lambda: log_grid(1e-300, 1e300, 3), "finite, nonzero stop/start ratio"),  # gave an inf point
+            (lambda: log_grid(1e300, 1e-300, 3), "finite, nonzero stop/start ratio"),  # gave a 0.0 point
         ],
-        ids=["one-point", "no-point", "negative-start", "negative-zero-stop", "infinite-stop", "nan-start", "fit-zero-od-min"],
+        ids=["one-point", "no-point", "negative-start", "negative-zero-stop", "infinite-stop", "nan-start", "fit-zero-od-min", "ratio-overflow", "ratio-underflow"],
     )
     def test_a_bad_log_grid_is_refused(self, call, match):
         with pytest.raises(ValueError, match=match):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlrouter import cli
+from nlrouter import cli, protocols
 from nlrouter.cli import CliError, main, parse_phi_spec, parse_pi_expr
 
 
@@ -73,6 +73,31 @@ class TestSweep:
         row = out.strip().split("\n")[1]
         assert row.endswith(",unreachable")
         assert row.split(",")[6] == ""
+
+    def test_an_engine_fault_at_a_reachable_point_exits_2_and_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        real = protocols.run_bell_measurement
+
+        def faulty(phi, *args):
+            if phi == math.pi / 3:
+                raise ValueError("engine fault")
+            return real(phi, *args)
+
+        monkeypatch.setattr(protocols, "run_bell_measurement", faulty)
+        out_path = tmp_path / "out.csv"
+        argv = ["sweep", "--protocol", "bm", "--phi", "0:pi:4", "--engine", "sim", "--out", str(out_path)]
+        code, out, err = run_cli(capsys, *argv, "--odb", "30")  # phi = pi/3 is the second of four rows
+        assert (code, out, err) == (2, "", "nlrouter: numerical error: engine fault\n")
+        assert not out_path.exists()
+        assert run_cli(capsys, *argv, "--odb", "1") == (0, "", "")  # beyond od_b/4 from phi = pi/3 on
+        assert [r.split(",")[-1] for r in out_path.read_text().splitlines()[1:]] == ["ok"] + ["unreachable"] * 3
+
+    @pytest.mark.parametrize("protocol", ["cnot", "factorization"])
+    def test_composite_protocols_match_their_simulation(self, capsys, protocol):
+        code, out, _ = run_cli(capsys, "sweep", "--protocol", protocol, "--phi", "0:pi:5", "--odb", "30,inf", "--pde", "0.9", "--phi1-ratio=-1/11", "--engine", "both", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert [r["status"] for r in doc["records"]] == ["ok"] * 10
+        assert doc["max_abs_delta"] < 1e-10
 
     def test_router_emits_three_rows_per_point(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--protocol", "router", "--phi", "pi/2", "--odb", "inf")

@@ -698,8 +698,8 @@ _ELEMENTS = {
 @settings(max_examples=60, deadline=None)
 @given(few_photon_states(max_total=3), st.data())
 def test_a_front_end_memo_never_holds_a_value(kind, state, data):
-    # one element on one signature with a value that alternates: its front end and its
-    # tape are made on the first sight and reused by every later one; every call must
+    # one element on one signature with a value that alternates: its table entry, tape
+    # included, is made on the first sight and reused by every later one; every call must
     # give the bits of the same call on an emptied table
     element, values = _ELEMENTS[kind]
     runs = [element(data.draw(values)) for _ in range(2)]
@@ -728,6 +728,15 @@ def test_a_refusal_is_raised_on_every_sight(run, state, match):
     for _ in range(3):
         with pytest.raises(ValueError, match=match):
             run(state)
+
+
+def test_an_element_call_makes_one_entry_and_only_a_linear_layout_is_shared():
+    fock._LAYOUTS.clear()
+    s = apply_beamsplitter(FockState.from_occupations({ModeId("a", "+"): 1, ModeId("b", "+"): 1}), "a", "b", "c", "d")
+    s = apply_phase(apply_nonlinear_medium(s, "c", NonlinearMediumSpec(0.4, 0.3, 1.1, 0.2)), "d", 0.3)
+    measure_all(s, [ModeId("c", "+"), ModeId("d", "+")], keep_posterior=True)
+    builders = [key[0].__name__ for key in fock._LAYOUTS if key[0] not in (fock._Signature, fock._subset)]
+    assert sorted(builders) == ["_LinearLayout", "_LinearLayout", "_beamsplitter_front", "_measure_tape", "_medium_tape", "_phase_front"]
 
 
 def test_terms_are_built_on_first_read_from_the_signature():

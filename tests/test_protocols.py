@@ -116,6 +116,18 @@ class TestBellMeasurement:
             run_bell_measurement(1.0, input_state="banana")
 
     @pytest.mark.parametrize("run", [run_bell_measurement, run_evl_bell_measurement])
+    def test_one_input_state_is_its_per_state_result(self, run):
+        def bits(r):
+            return [p.hex() for p in (r.p_success, r.p_heralded_failure, r.p_false_positive, r.p_silent_loss)], [
+                (o.pattern, o.probability.hex(), o.classification) for o in r.outcomes
+            ]
+
+        average = run(PI / 3, 30.0, 0.98)
+        for s in BELL_STATES:
+            one = run(PI / 3, 30.0, 0.98, input_state=s)
+            assert one.per_state == {} and bits(one) == bits(average.per_state[s])
+
+    @pytest.mark.parametrize("run", [run_bell_measurement, run_evl_bell_measurement])
     def test_unknown_input_is_refused_before_any_circuit_runs(self, run, monkeypatch):
         def circuit(*args, **kwargs):
             raise AssertionError("a circuit ran for a refused input state")
@@ -330,7 +342,7 @@ class TestCacheCoherence:
     def fresh(self):
         """``_coherence_bits`` of each call, each in its own fresh interpreter."""
         src = str(Path(__import__("nlrouter").__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         code = (
             "import json, sys; from test_protocols import _coherence_bits; "
             "print(json.dumps(_coherence_bits(json.loads(sys.argv[1]))))"
