@@ -21,17 +21,18 @@ input slot the output slots it adds to, with the plan monomial (linear map)
 or branch factors (medium, multiplied left to right) that scale it, or per
 pattern the slots it sums (measurement).  It replays the tape on that call
 and every later one, so each element computes amplitudes in one place only.
-A linear element's entry also holds its constant coefficients and source
-count, never a value (a phase, a transmission) nor a refusal; tapes hold no
-coefficients.  The replay keeps the loop's two value-dependent branches:
-prune's ``abs(a) > PRUNE_TOL`` drops slots and keeps the order of the rest,
-and the medium skips a zero branch, so a slot sits where its first nonzero
-branch put it.  Only a linear map's layout (the grown registry, the touched
-positions and its added-photon plans per occupation pattern, for the last
-coefficient vector it saw) is shared: every tape on its registry reads its
-plans.  The medium and the measurement keep no layout.  Signatures share
-the table, and tapes one copy of each equal step; both are cleared once the
-table holds ``_LAYOUT_LIMIT`` entries, which bounds their memory together.
+No entry holds a value (a phase, a transmission) nor a refusal.  A linear
+map's layout (grown registry, touched positions) and the plan of each local
+occupation pattern (divisors, each monomial's changes and factor, and the
+recipe of its coefficient) are coefficient-free entries too, shared by every
+tape that meets them.  A linear tape holds its plans, source count and any
+constant coefficients; the monomial coefficients of the last vector it
+replayed, evaluated from the recipes in the term loop's order, are the only
+state that follows a call's coefficients.  The replay keeps the loop's two value-dependent branches: prune's
+``abs(a) > PRUNE_TOL`` drops slots and keeps the order of the rest, and the
+medium skips a zero branch, so a slot sits where its first nonzero branch
+put it.  Signatures share the table, and tapes one copy of each equal step;
+both are cleared once the table holds ``_LAYOUT_LIMIT`` entries.
 
 Every element acts only on the polarization submodes of a spatial mode that
 hold photons (``_sig_pols``): a photon-free submode is left alone and
@@ -142,6 +143,8 @@ class FockState:
                 packed = None
             if packed is None or len(packed) != len(self.modes) * len(terms):
                 raise ValueError("each occupation must hold one count in 0..255 per registry mode")
+            if len(set(self.modes)) != len(self.modes):
+                raise ValueError(f"the registry lists a mode twice: {[m.label() for m in self.modes]}")
             self._amps = list(terms.values())
             # published last: another thread that sees the signature also sees its amplitudes
             self._sig = _layout(_Signature, self.modes, packed, len(terms))
@@ -219,11 +222,12 @@ class FockState:
 
 # ------------------------------------------------------ layouts and tapes
 
-# Element entries, linear layouts and signatures (see the module docstring).  Keys never
+# Element entries, linear layouts and plans, and signatures (see the module docstring).  Keys never
 # hold coefficients: a random p_de per call would make a new entry per call.
 _LAYOUT_LIMIT = 4096
 _LAYOUTS: dict[object, object] = {}
 _STEPS: dict[tuple, tuple] = {}  # one copy of each equal step, shared by every tape
+_MISS = object()  # an entry may be None (an element that does nothing on its signature)
 
 
 def _remember(key: tuple, value: object) -> object:
@@ -237,8 +241,8 @@ def _remember(key: tuple, value: object) -> object:
 def _layout(build: Callable, *shape):
     """``build(*shape)``, made once per shape: a registry and an element's structure."""
     key = (build, *shape)
-    layout = _LAYOUTS.get(key)
-    return _remember(key, build(*shape)) if layout is None else layout
+    layout = _LAYOUTS.get(key, _MISS)
+    return _remember(key, build(*shape)) if layout is _MISS else layout
 
 
 def _shared(step: tuple) -> tuple:
@@ -294,135 +298,131 @@ def _projector(idx: Sequence[int]) -> Callable[[bytes], Sequence[int]]:
     return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
 
 
-def _linear_plan(local: Sequence[int], mapped: list[tuple[int, list[tuple[int, complex]]]], touched: list[int]) -> tuple[list, list]:
-    """The map of every term whose ``touched`` entries (ascending) read ``local``: the ``sqrt(n!)``
-    divisors, and per added-photon monomial its changes (flat ``index, count, ...``), coefficient and factor."""
+def _linear_layout(modes: tuple[ModeId, ...], structure: tuple[tuple[ModeId, tuple[ModeId, ...]], ...]) -> tuple:
+    """A linear map of one structure on one registry: the grown registry, its pad, the touched
+    positions (ascending), the shape (per source its local position and its targets') and the
+    projector onto the touched positions."""
+    ports = [m for m, _ in structure] + [t for _, outs in structure for t in outs]
+    modes, grown = _grown(modes, ports)
+    index = {m: i for i, m in enumerate(modes)}
+    touched = tuple(sorted({index[m] for m in ports}))
+    pos = {modes[i]: k for k, i in enumerate(touched)}
+    shape = tuple((pos[m], tuple(pos[t] for t in outs)) for m, outs in structure)
+    return modes, bytes(grown), touched, shape, _projector(touched)
+
+
+def _linear_plan(local: Sequence[int], shape: tuple, touched: tuple[int, ...]) -> tuple:
+    """The map of every term whose ``touched`` entries read ``local``, for any coefficients: the ``sqrt(n!)``
+    divisors, each added-photon monomial's factor and changes (flat ``index, count, ...``) and their ``_coefficients`` recipe."""
     base = list(local)
-    divisors = []
-    # polynomial over added photons: sorted ((target, count), ...) -> coeff;
+    divisors, recipe = [], []
+    # polynomial over added photons: sorted ((target, count), ...) -> its index, in insertion order;
     # the keys are canonical, so they merge and iterate as dense occupation tuples would
-    poly: dict[tuple[tuple[int, int], ...], complex] = {(): 1.0 + 0.0j}
-    for i, outs in mapped:
+    poly: dict[tuple[tuple[int, int], ...], int] = {(): 0}
+    first = 0  # the index of the source's first coefficient: per source, one per target
+    for i, outs in shape:
         n = local[i]
         if n:
             base[i] = 0
             divisors.append(math.sqrt(math.factorial(n)))
             for _ in range(n):
-                nxt: dict[tuple[tuple[int, int], ...], complex] = {}
-                for add, coeff in poly.items():
-                    for j, c in outs:
+                nxt: dict[tuple[tuple[int, int], ...], int] = {}
+                adds = []
+                for add, a in poly.items():
+                    for q, j in enumerate(outs):
                         counts = dict(add)
                         counts[j] = counts.get(j, 0) + 1
-                        key = tuple(sorted(counts.items()))
-                        nxt[key] = nxt.get(key, 0.0j) + coeff * c
+                        adds += a, first + q, nxt.setdefault(tuple(sorted(counts.items())), len(nxt))
+                recipe.append((len(nxt), tuple(adds)))
                 poly = nxt
-    monomials = []
-    for add, coeff in poly.items():
+        first += len(outs)
+    factors, changes = [], []
+    for add in poly:
         factor = 1.0
         final = list(base)
         for j, extra in add:
             final[j] += extra
             factor *= math.sqrt(math.factorial(final[j]) / math.factorial(base[j]))
-        changes = []
+        moved = []
         for k, n in enumerate(final):
             if n != local[k]:
-                changes += touched[k], n
-        monomials.append((tuple(changes), coeff, factor))
-    return divisors, monomials
+                moved += touched[k], n
+        factors.append(factor)
+        changes.append(tuple(moved))
+    return tuple(divisors), tuple(factors), tuple(changes), tuple(recipe)
 
 
-class _Plans(dict):
-    """``{local pattern: plan}`` for one coefficient vector, each plan made on first use."""
-
-    __slots__ = ("mapped", "touched")
-
-    def __init__(self, mapped: list, touched: list[int]):
-        self.mapped, self.touched = mapped, touched
-
-    def __missing__(self, local: Sequence[int]) -> tuple:
-        plan = self[local] = _linear_plan(local, self.mapped, self.touched)
-        return plan
-
-
-class _LinearLayout:
-    """A linear map of one structure on one registry; ``plans`` holds for one coefficient vector."""
-
-    __slots__ = ("modes", "pad", "touched", "shape", "project", "plans")
-
-    def __init__(self, modes: tuple[ModeId, ...], structure: tuple[tuple[ModeId, tuple[ModeId, ...]], ...]):
-        sources = [m for m, _ in structure]
-        targets = [t for _, outs in structure for t in outs]
-        self.modes, grown = _grown(modes, sources + targets)
-        self.pad = bytes(grown)
-        index = {m: i for i, m in enumerate(self.modes)}
-        self.touched = sorted({index[m] for m in sources} | {index[t] for t in targets})
-        pos = {self.modes[i]: k for k, i in enumerate(self.touched)}
-        self.shape = [(pos[m], [pos[t] for t in outs]) for m, outs in structure]
-        self.project = _projector(self.touched)
-        # (coefficients, their plans), replaced whole so that a call never reads plans made
-        # for other coefficients; unit ones under (), which no call passes, serve recording
-        self.plans: tuple[tuple, _Plans] = ((), self._planned(repeat(1.0)))
-
-    def _planned(self, coeffs: Iterable[complex]) -> _Plans:
-        it = iter(coeffs)
-        return _Plans([(i, [(j, next(it)) for j in js]) for i, js in self.shape], self.touched)
-
-    def planner(self, coeffs: tuple) -> _Plans:
-        """The plans for ``coeffs``: per source, in order, one coefficient per target."""
-        known, plans = self.plans
-        # a plan's coefficients are sums that start at 0.0j, so coefficients equal
-        # under == (0.0 and -0.0 alike) give bit-identical plans
-        if known != coeffs:
-            plans = self._planned(coeffs)
-            self.plans = (coeffs, plans)
-        return plans
+def _coefficients(recipe: tuple, coeffs: Sequence[complex]) -> list[complex]:
+    """Each monomial's coefficient for the flat ``coeffs``: per added photon, every sum starts at
+    ``0.0j`` and adds ``monomial * coefficient`` in the recipe's order, as a term dict would."""
+    poly = [1.0 + 0.0j]
+    for size, adds in recipe:
+        nxt = [0.0j] * size
+        it = iter(adds)
+        for a, k, b in zip(it, it, it):
+            nxt[b] += poly[a] * coeffs[k]
+        poly = nxt
+    return poly
 
 
-def _linear_tape(layout: _LinearLayout, plans: _Plans, sig: _Signature) -> tuple:
-    """The term loop's structure on slots: (layout; local patterns; per input slot the output slot
-    of each monomial of its pattern, then the pattern's index; output signature), each output slot
-    numbered on first use.  A pattern's monomials (one, with no changes, for a pattern with no
-    photon to move) and their changes are the same for every coefficient vector."""
-    slots: dict[bytes, int] = {}
-    patterns: dict[Sequence[int], int] = {}
-    steps = []
-    for occ in sig.keys():
-        occ += layout.pad
-        local = layout.project(occ)
-        step = [slots.setdefault(_moved(occ, changes), len(slots)) for changes, _, _ in plans[local][1]]
-        step.append(patterns.setdefault(_shared(local), len(patterns)))
-        steps.append(_shared(tuple(step)))
-    return layout, tuple(patterns), tuple(steps), _signature(layout.modes, list(slots))
+class _LinearTape:
+    """A linear element's term loop on one signature: each local pattern's plan, per input slot the output slot of each
+    monomial of its pattern then the pattern's index, the output signature, the source count and any constant coefficients."""
+
+    __slots__ = ("plans", "steps", "out_sig", "count", "consts", "last")
+
+    def __init__(self, plans: tuple, steps: tuple, out_sig: _Signature, count: int, consts: Optional[tuple]):
+        self.plans, self.steps, self.out_sig, self.count, self.consts = plans, steps, out_sig, count, consts
+        self.last: tuple = (None, ())
+
+    def rows(self, coeffs: tuple) -> tuple:
+        """Per pattern its divisors, its monomials' coefficients for ``coeffs`` and their factors."""
+        last = self.last
+        # a coefficient is a sum that starts at 0.0j, so coefficient vectors equal under
+        # == (0.0 and -0.0 alike) give bit-identical rows; the pair is replaced whole
+        if last[0] != coeffs:
+            last = self.last = (coeffs, tuple((d, _coefficients(r, coeffs), f) for d, f, _, r in self.plans))
+        return last[1]
 
 
-def _front(sig: _Signature, structure: Iterable[tuple[ModeId, tuple[ModeId, ...]]], consts: Optional[tuple] = None) -> tuple:
-    """A linear element on ``sig``: its tape (None for no source mode, as when none holds a photon),
-    ``consts`` and its number of source modes.  Constant coefficients make the plans the tape reads;
-    any other element reads the layout's current plans, whose changes every coefficient vector shares."""
+def _front(sig: _Signature, structure: Iterable[tuple[ModeId, tuple[ModeId, ...]]], consts: Optional[tuple] = None) -> Optional[_LinearTape]:
+    """A linear element's tape on ``sig``, recorded from its structure alone, each output slot
+    numbered on first use; None for no source mode, as when none holds a photon.  ``consts`` are
+    the coefficients of an element whose coefficients are constant."""
     structure = tuple(structure)
     if not structure:
-        return None, consts, 0
-    layout = _layout(_LinearLayout, sig.modes, structure)
-    return _linear_tape(layout, layout.plans[1] if consts is None else layout.planner(consts), sig), consts, len(structure)
+        return None
+    modes, pad, touched, shape, project = _layout(_linear_layout, sig.modes, structure)
+    slots: dict[bytes, int] = {}
+    patterns: dict[Sequence[int], tuple[int, tuple]] = {}
+    steps = []
+    for occ in sig.keys():
+        occ += pad
+        local = project(occ)
+        if local not in patterns:
+            patterns[local] = len(patterns), _layout(_linear_plan, local, shape, touched)
+        k, plan = patterns[local]
+        step = [slots.setdefault(_moved(occ, changes), len(slots)) for changes in plan[2]]
+        step.append(k)
+        steps.append(_shared(tuple(step)))
+    return _LinearTape(tuple(plan for _, plan in patterns.values()), tuple(steps), _signature(modes, list(slots)), len(structure), consts)
 
 
-def _linear(state: FockState, front: tuple, coeffs: Optional[tuple] = None) -> FockState:
-    """Replay ``front``'s tape on the packed ``state`` with the flat ``coeffs``, by default its constants."""
-    tape, consts, _ = front
+def _linear(state: FockState, tape: Optional[_LinearTape], coeffs: Optional[tuple] = None) -> FockState:
+    """Replay ``tape`` on the packed ``state`` with the flat ``coeffs``, by default its constants."""
     if tape is None:
         return state
-    layout, patterns, steps, out_sig = tape
-    plans = list(map(layout.planner(consts if coeffs is None else coeffs).__getitem__, patterns))
-    out = [0.0j] * out_sig.count
-    for amp, step in zip(state._amps, steps):
-        divisors, monomials = plans[step[-1]]
+    rows = tape.rows(tape.consts if coeffs is None else coeffs)
+    out = [0.0j] * tape.out_sig.count
+    for amp, step in zip(state._amps, tape.steps):
+        divisors, values, factors = rows[step[-1]]
         if divisors:
             amp = reduce(truediv, divisors, amp)  # amp / d1 / d2 ..., in order
-            for j, (_, coeff, factor) in zip(step, monomials):  # stops before the pattern index
+            for j, coeff, factor in zip(step, values, factors):  # stops before the pattern index
                 out[j] += amp * coeff * factor
         else:
             out[step[0]] += amp
-    return _replayed(out_sig, out)
+    return _replayed(tape.out_sig, out)
 
 
 def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[ModeId, complex]]]) -> FockState:
@@ -432,8 +432,8 @@ def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[
     operators; occupation factorials are handled so normalized kets map to
     normalized kets whenever the single-photon matrix is an isometry.
     """
-    front = _layout(_front, state._packed(), tuple((m, tuple(t for t, _ in outs)) for m, outs in mapping.items()))
-    return _linear(state, front, tuple(c for outs in mapping.values() for _, c in outs))
+    tape = _layout(_front, state._packed(), tuple((m, tuple(t for t, _ in outs)) for m, outs in mapping.items()))
+    return _linear(state, tape, tuple(c for outs in mapping.values() for _, c in outs))
 
 
 def _sig_pols(sig: _Signature, spatial: str) -> list[Optional[str]]:
@@ -447,7 +447,7 @@ def _distinct_ports(element: str, in1: Optional[str], in2: Optional[str], out1: 
         raise ValueError(f"{element} ports repeat: in {in1!r}, {in2!r}; out {out1!r}, {out2!r}")
 
 
-def _beamsplitter_front(sig: _Signature, in1: Optional[str], in2: Optional[str], out1: str, out2: str) -> tuple:
+def _beamsplitter_front(sig: _Signature, in1: Optional[str], in2: Optional[str], out1: str, out2: str) -> Optional[_LinearTape]:
     _distinct_ports("beam splitter", in1, in2, out1, out2)
     s = 1.0 / math.sqrt(2.0)
     pairs = {src: dsts for src, dsts in ((in1, (out2, out1)), (in2, (out1, out2))) if src is not None}
@@ -465,18 +465,20 @@ def apply_beamsplitter(state: FockState, in1: Optional[str], in2: Optional[str],
     return _linear(state, _layout(_beamsplitter_front, state._packed(), in1, in2, out1, out2))
 
 
-def _phase_front(sig: _Signature, spatial: str) -> tuple:
+def _phase_front(sig: _Signature, spatial: str) -> Optional[_LinearTape]:
     return _front(sig, [(ModeId(spatial, pol), (ModeId(spatial, pol),)) for pol in _sig_pols(sig, spatial)])
 
 
 def apply_phase(state: FockState, spatial: str, phase: float) -> FockState:
     """Phase shifter: every photon in ``spatial`` picks up exp(i*phase)."""
+    if not math.isfinite(phase):
+        raise ValueError("phase must be finite")
     c = complex(math.cos(phase), math.sin(phase))
-    front = _layout(_phase_front, state._packed(), spatial)
-    return _linear(state, front, (c,) * front[2])  # one per source mode
+    tape = _layout(_phase_front, state._packed(), spatial)
+    return state if tape is None else _linear(state, tape, (c,) * tape.count)  # one per source mode
 
 
-def _pbs_front(sig: _Signature, in1: str, in2: str, out1: str, out2: str) -> tuple:
+def _pbs_front(sig: _Signature, in1: str, in2: str, out1: str, out2: str) -> Optional[_LinearTape]:
     _distinct_ports("PBS", in1, in2, out1, out2)
     mapping: dict[ModeId, tuple[ModeId]] = {}
     for src, t_out, r_out in ((in1, out2, out1), (in2, out1, out2)):
@@ -498,7 +500,7 @@ def apply_pbs(state: FockState, in1: str, in2: str, out1: str, out2: str) -> Foc
     return _linear(state, _layout(_pbs_front, state._packed(), in1, in2, out1, out2))
 
 
-def _rotation_front(sig: _Signature, spatial: str) -> tuple:
+def _rotation_front(sig: _Signature, spatial: str) -> Optional[_LinearTape]:
     pols = _sig_pols(sig, spatial)
     if all(p in _HV for p in pols):
         src, dst = _HV, _DIAG
@@ -521,7 +523,7 @@ def apply_rotation_45(state: FockState, spatial: str) -> FockState:
     return _linear(state, _layout(_rotation_front, state._packed(), spatial))
 
 
-def _loss_front(sig: _Signature, spatial: str, tag: str) -> tuple:
+def _loss_front(sig: _Signature, spatial: str, tag: str) -> Optional[_LinearTape]:
     return _front(sig, [(ModeId(spatial, pol), (ModeId(spatial, pol), ModeId(spatial, pol, sink=True, tag=tag))) for pol in _sig_pols(sig, spatial)])
 
 
@@ -531,8 +533,8 @@ def apply_loss(state: FockState, spatial: str, transmission: float, tag: str = "
         raise ValueError("transmission must lie in [0, 1]")
     t = math.sqrt(transmission)
     r = math.sqrt(1.0 - transmission)
-    front = _layout(_loss_front, state._packed(), spatial, tag)
-    return _linear(state, front, (t + 0.0j, r + 0.0j) * front[2])
+    tape = _layout(_loss_front, state._packed(), spatial, tag)
+    return state if tape is None else _linear(state, tape, (t + 0.0j, r + 0.0j) * tape.count)
 
 
 @dataclass(frozen=True)
@@ -563,6 +565,10 @@ class NonlinearMediumSpec:
             raise ValueError(f"unknown interaction basis {self.interaction_basis!r}; expected 'diagonal' or 'hv'")
         if self.pair_coupling not in ("same_polarization", "any"):
             raise ValueError(f"unknown pair coupling {self.pair_coupling!r}; expected 'same_polarization' or 'any'")
+        if not (0.0 <= self.tau1 <= 1.0 and 0.0 <= self.tau2 <= 1.0):
+            raise ValueError(f"medium absorptions tau1={self.tau1!r}, tau2={self.tau2!r} must lie in [0, 1]")
+        if not (math.isfinite(self.phi1) and math.isfinite(self.phi2)):
+            raise ValueError(f"medium phases phi1={self.phi1!r}, phi2={self.phi2!r} must be finite")
 
 
 class _MediumLayout:
@@ -624,12 +630,12 @@ class _MediumLayout:
         ]
 
 
-def _medium_tape(sig: _Signature, arm: str, basis: str, coupling: str) -> tuple:
+def _medium_tape(sig: _Signature, arm: str, basis: str, coupling: str) -> Optional[tuple]:
     """(output signature, per input slot the output slot and factors of each branch), or
-    (None, None) when no arm mode is in the registry."""
+    None when no arm mode is in the registry."""
     layout = _MediumLayout(sig.modes, arm, basis)
     if not layout.idx:
-        return None, None
+        return None
     slots: dict[bytes, int] = {}
     steps = []
     for occ in sig.keys():
@@ -661,9 +667,10 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
     # a branch's amplitude is the term's times its factors, left to right
     factors = ((), (t1, e1), (r1,), (t1, t2, e12), (k,), (k, w), (r1, w), ((t1 * e1) ** 2,), (t1, e1, r1), (r1, r1))
 
-    out_sig, steps = _layout(_medium_tape, state._packed(), arm, spec.interaction_basis, spec.pair_coupling)
-    if steps is None:
+    tape = _layout(_medium_tape, state._packed(), arm, spec.interaction_basis, spec.pair_coupling)
+    if tape is None:
         return state
+    out_sig, steps = tape
     out: dict[int, complex] = {}
     for amp, step in zip(state._amps, steps):
         for j, f in step:

@@ -77,6 +77,8 @@ class ProtocolResult:
 
 def bell_state(name: str, mode_a: str = "a", mode_b: str = "b") -> FockState:
     """One of the four two-photon polarization Bell states."""
+    if mode_a == mode_b:
+        raise ValueError(f"a Bell state needs two distinct modes, got {mode_a!r} twice")
     a_h, a_v = ModeId(mode_a, "H"), ModeId(mode_a, "V")
     b_h, b_v = ModeId(mode_b, "H"), ModeId(mode_b, "V")
     s = 1.0 / math.sqrt(2.0)

@@ -198,6 +198,15 @@ class TestNonlinearMedium:
         with pytest.raises(ValueError, match=f"unknown {field.replace('_', ' ')} '{value}'"):
             NonlinearMediumSpec(0.25, 0.15, 0.9, 0.3, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [("tau1", math.nan, "must lie in"), ("tau1", 1.5, "must lie in"), ("tau2", -0.1, "must lie in"),
+         ("phi1", math.nan, "must be finite"), ("phi2", math.inf, "must be finite")],
+    )
+    def test_bad_spec_value_is_refused_when_built(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            NonlinearMediumSpec(**{"phi1": 0.25, "tau1": 0.15, "phi2": 0.9, "tau2": 0.3, field: value})
+
     def test_three_photons_unsupported(self):
         s = FockState.from_occupations({ModeId("f", "+"): 3})
         with pytest.raises(ValueError, match="at most 2"):
@@ -720,8 +729,12 @@ def test_a_front_end_memo_never_holds_a_value(kind, state, data):
         (lambda s: apply_beamsplitter(s, "a", "a", "c", "d"), one_photon("a", "+"), "beam splitter ports repeat"),
         (lambda s: apply_beamsplitter(s, "a", None, "c", "c"), one_photon("a", "+"), "beam splitter ports repeat"),
         (lambda s: measure_all(s, [ModeId("a", "H"), ModeId("a", "H")]), one_photon("a", "H"), "listed twice"),
+        (lambda s: apply_phase(s, "a", math.nan), one_photon("a", "H"), "phase must be finite"),
+        (lambda s: apply_phase(s, "a", -math.inf), one_photon("a", "H"), "phase must be finite"),
+        (lambda s: apply_beamsplitter(s, "a", None, "c", "d"), FockState((ModeId("a", "H"),) * 2, {(1, 0): 1.0}), "lists a mode twice"),
     ],
-    ids=["pbs-diagonal", "pbs-unpolarized", "rotation-mixed", "pbs-outputs", "pbs-inputs", "bs-inputs", "bs-outputs", "measure-twice"],
+    ids=["pbs-diagonal", "pbs-unpolarized", "rotation-mixed", "pbs-outputs", "pbs-inputs", "bs-inputs", "bs-outputs", "measure-twice",
+         "phase-nan", "phase-inf", "registry-twice"],
 )
 def test_a_refusal_is_raised_on_every_sight(run, state, match):
     fock._LAYOUTS.clear()
@@ -730,13 +743,62 @@ def test_a_refusal_is_raised_on_every_sight(run, state, match):
             run(state)
 
 
-def test_an_element_call_makes_one_entry_and_only_a_linear_layout_is_shared():
+def test_an_element_call_makes_one_entry_and_only_linear_layouts_and_plans_are_shared():
+    # besides one entry per element call, a linear element's layout and the plan of each
+    # local pattern it meets (here 1, 1 at the beam splitter; 2 and 0 at the phase) are entries
     fock._LAYOUTS.clear()
     s = apply_beamsplitter(FockState.from_occupations({ModeId("a", "+"): 1, ModeId("b", "+"): 1}), "a", "b", "c", "d")
     s = apply_phase(apply_nonlinear_medium(s, "c", NonlinearMediumSpec(0.4, 0.3, 1.1, 0.2)), "d", 0.3)
     measure_all(s, [ModeId("c", "+"), ModeId("d", "+")], keep_posterior=True)
     builders = [key[0].__name__ for key in fock._LAYOUTS if key[0] not in (fock._Signature, fock._subset)]
-    assert sorted(builders) == ["_LinearLayout", "_LinearLayout", "_beamsplitter_front", "_measure_tape", "_medium_tape", "_phase_front"]
+    assert sorted(builders) == [
+        "_beamsplitter_front", "_linear_layout", "_linear_layout", "_linear_plan", "_linear_plan", "_linear_plan",
+        "_measure_tape", "_medium_tape", "_phase_front",
+    ]
+
+
+_TWO_IN_U = FockState((ModeId("u", "H"), ModeId("u", "V"), ModeId("v", "H")), {(2, 0, 0): 0.6, (1, 1, 0): 0.48j, (0, 0, 1): -0.64})
+
+
+def test_a_new_coefficient_vector_builds_no_plan(monkeypatch):
+    build = fock._linear_plan
+    builds = []
+
+    def counted(*shape):
+        builds.append(shape)
+        return build(*shape)
+
+    monkeypatch.setattr(fock, "_LAYOUTS", {})
+    monkeypatch.setattr(fock, "_linear_plan", counted)
+    apply_loss(_TWO_IN_U, "u", 0.9)
+    first = len(builds)
+    for transmission in (0.5, 0.25):
+        apply_loss(_TWO_IN_U, "u", transmission)
+    assert len(builds) == first
+    assert first == 3  # one per local pattern: both photons in u_H, one in each u submode, none
+
+
+_C, _D = ModeId("c", "H"), ModeId("d", "H")
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        [lambda s: apply_phase(s, "u", 0.0), lambda s: apply_phase(s, "u", -0.0)],
+        [lambda s: apply_loss(s, "u", 0.0), lambda s: apply_loss(s, "u", -0.0)],
+        [
+            lambda s: _apply_linear_map(s, {ModeId("u", "H"): [(_C, complex(0.6, 0.0)), (_D, complex(-0.0, 0.8))]}),
+            lambda s: _apply_linear_map(s, {ModeId("u", "H"): [(_C, complex(0.6, -0.0)), (_D, complex(0.0, 0.8))]}),
+        ],
+    ],
+    ids=["phase", "loss", "map"],
+)
+def test_coefficients_equal_under_eq_give_the_bits_of_a_fresh_table(runs):
+    # a tape keeps the coefficients of its last vector and reuses them for any vector equal
+    # under ==, so 0.0 and -0.0 share them; each call must still give a fresh table's bits
+    want = [_fresh_outcome(run, _TWO_IN_U) for run in runs]
+    fock._LAYOUTS.clear()
+    assert [_outcome(run, _TWO_IN_U) for run in runs + runs] == want + want
 
 
 def test_terms_are_built_on_first_read_from_the_signature():

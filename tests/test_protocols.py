@@ -238,6 +238,10 @@ class TestBellStates:
         with pytest.raises(ValueError, match="unknown Bell state"):
             bell_state("chi_plus")
 
+    def test_one_mode_named_twice_is_refused(self):
+        with pytest.raises(ValueError, match="two distinct modes"):
+            bell_state("psi_plus", "a", "a")
+
 
 class TestBitExactPins:
     """``float.hex`` of simulator results at operating points the goldens miss.
