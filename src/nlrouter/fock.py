@@ -36,8 +36,10 @@ both are cleared once the table holds ``_LAYOUT_LIMIT`` entries.
 
 Every element acts only on the polarization submodes of a spatial mode that
 hold photons (``_sig_pols``): a photon-free submode is left alone and
-never grows the registry.  The polarizing beam splitter and the 45-degree
-rotation refuse a photon outside their bases, an unpolarized one included.
+never grows the registry, and each arm submode of the medium that holds a
+photon grows a single and a pair sink.  The polarizing beam splitter, the
+45-degree rotation and the medium refuse a photon outside their bases; the
+first two refuse an unpolarized one too, and the medium accepts it.
 """
 
 from __future__ import annotations
@@ -571,77 +573,61 @@ class NonlinearMediumSpec:
             raise ValueError(f"medium phases phi1={self.phi1!r}, phi2={self.phi2!r} must be finite")
 
 
-class _MediumLayout:
-    """The arm's modes and their sink modes (grown into the registry) for one registry and basis."""
+def _medium_tape(sig: _Signature, arm: str, basis: str, coupling: str) -> Optional[tuple]:
+    """(output signature, per input slot the output slot and factors of each branch), or None when
+    no arm submode holds a photon.  Each arm submode holding one grows a single and a pair sink."""
+    pols = _sig_pols(sig, arm)
+    for pol in pols:
+        if pol is not None and pol not in _BASIS_POLS[basis]:
+            raise ValueError(f"arm {arm} photon polarization {pol!r} is not in the medium's {basis} interaction basis")
+    arm_modes = [m for m in sig.modes if m.spatial == arm and not m.sink and m.pol in pols]  # registry order
+    if not arm_modes:
+        return None
+    sinks = {(m, k): ModeId(arm, m.pol, sink=True, tag=k) for m in arm_modes for k in ("single", "pair")}
+    modes, grown = _grown(sig.modes, sinks.values())
+    pad = bytes(grown)
+    index = {m: i for i, m in enumerate(modes)}
+    idx = [index[m] for m in arm_modes]
+    sidx = {(index[m], k): index[sink] for (m, k), sink in sinks.items()}
 
-    __slots__ = ("modes", "pad", "idx", "sidx")
-
-    def __init__(self, modes: tuple[ModeId, ...], arm: str, basis: str):
-        allowed = _BASIS_POLS[basis]
-        arm_modes = [m for m in modes if m.spatial == arm and not m.sink]
-        for m in arm_modes:
-            if m.pol is not None and m.pol not in allowed:
-                raise ValueError(
-                    f"arm {arm} photon polarization {m.pol!r} is not in the medium's {basis} interaction basis"
-                )
-        sinks = {(m.pol, k): ModeId(arm, m.pol, sink=True, tag=k) for m in arm_modes for k in ("single", "pair")}
-        self.modes, grown = _grown(modes, sinks.values())
-        self.pad = bytes(grown)
-        index = {m: i for i, m in enumerate(self.modes)}
-        self.idx = {m: index[m] for m in arm_modes}
-        self.sidx = {key: index[m] for key, m in sinks.items()}
-
-    def absorbed(self, occ: bytes, *moves: tuple[ModeId, str]) -> bytes:
-        """``occ`` with one photon of each ``(arm mode, kind)`` moved to that mode's ``kind`` sink."""
+    def absorbed(occ: bytes, *moves: tuple[int, str]) -> bytes:
+        """``occ`` with one photon of each ``(arm position, kind)`` moved to that submode's ``kind`` sink."""
         lost = bytearray(occ)
-        for m, kind in moves:
-            lost[self.idx[m]] -= 1
-            lost[self.sidx[(m.pol, kind)]] += 1
+        for i, kind in moves:
+            lost[i] -= 1
+            lost[sidx[i, kind]] += 1
         return bytes(lost)
 
-    def branches(self, occ: bytes, coupling: str) -> list[tuple[bytes, int]]:
+    def branches(occ: bytes) -> list[tuple[bytes, int]]:
         """The Kraus branches of one padded term, in order: each output key and the index
         of its factors in ``apply_nonlinear_medium``'s ``factors``."""
-        occupied = [(m, occ[i]) for m, i in self.idx.items() if occ[i]]
-        n = sum(c for _, c in occupied)
+        occupied = [i for i in idx if occ[i]]
+        n = sum(occ[i] for i in occupied)
         if n == 0:
             return [(occ, 0)]
         if n == 1:
-            (m, _), = occupied
-            return [(occ, 1), (self.absorbed(occ, (m, "single")), 2)]
+            return [(occ, 1), (absorbed(occ, (occupied[0], "single")), 2)]
         if n != 2:
             raise ValueError(f"nonlinear medium supports at most 2 photons per arm, got {n}")
         if len(occupied) == 1 or coupling == "any":
             out = [(occ, 3)]
             for kind, same, cross in (("pair", 4, 5), ("single", 2, 6)):
                 if len(occupied) == 1:
-                    out.append((self.absorbed(occ, (occupied[0][0], kind)), same))
+                    out.append((absorbed(occ, (occupied[0], kind)), same))
                 else:
-                    out += [(self.absorbed(occ, (m, kind)), cross) for m, _ in occupied]
+                    out += [(absorbed(occ, (i, kind)), cross) for i in occupied]
             return out
-        # two distinguishable-polarization photons, self-phase only:
-        # each passes the single-photon channel independently
-        (ma, _), (mb, _) = occupied
-        return [
-            (occ, 7),
-            (self.absorbed(occ, (mb, "single")), 8),
-            (self.absorbed(occ, (ma, "single")), 8),
-            (self.absorbed(occ, (ma, "single"), (mb, "single")), 9),
-        ]
+        # two distinguishable-polarization photons, self-phase only: each passes the single-photon channel alone
+        a, b = occupied
+        return [(occ, 7), (absorbed(occ, (b, "single")), 8), (absorbed(occ, (a, "single")), 8),
+                (absorbed(occ, (a, "single"), (b, "single")), 9)]
 
-
-def _medium_tape(sig: _Signature, arm: str, basis: str, coupling: str) -> Optional[tuple]:
-    """(output signature, per input slot the output slot and factors of each branch), or
-    None when no arm mode is in the registry."""
-    layout = _MediumLayout(sig.modes, arm, basis)
-    if not layout.idx:
-        return None
     slots: dict[bytes, int] = {}
     steps = []
     for occ in sig.keys():
-        step = tuple((slots.setdefault(k, len(slots)), f) for k, f in layout.branches(occ + layout.pad, coupling))
+        step = tuple((slots.setdefault(k, len(slots)), f) for k, f in branches(occ + pad))
         steps.append(_shared(step))
-    return _signature(layout.modes, list(slots)), tuple(steps)
+    return _signature(modes, list(slots)), tuple(steps)
 
 
 def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec, sign: int = 1) -> FockState:
@@ -652,7 +638,8 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
     branch; photon pairs in the arm get the blockaded-pair amplitude
     sqrt((1-tau1)(1-tau2))*exp(i*sign*(phi1+phi2)) plus first/second-photon
     absorption branches.  Branch probabilities sum to 1 exactly.  More than
-    two photons in one arm is unsupported.
+    two photons in one arm, or an arm photon outside the spec's interaction
+    basis, raises ValueError; an unpolarized arm photon is accepted.
     """
     if sign not in (-1, 1):
         raise ValueError("arm phase sign must be +1 or -1")
@@ -688,10 +675,13 @@ def apply_detector_efficiency(state: FockState, spatials: Sequence[str], p_de: f
 
     Each photon independently survives with probability ``p_de`` or moves to
     an undetected sink for its detector, yielding the exact binomial click
-    statistics for number-resolving detectors.
+    statistics for number-resolving detectors.  A detector listed twice
+    raises ValueError, at every ``p_de``.
     """
     if not 0.0 <= p_de <= 1.0:
         raise ValueError("p_de must lie in [0, 1]")
+    if len(set(spatials)) != len(spatials):
+        raise ValueError(f"a detector is listed twice: {list(spatials)}")
     if p_de == 1.0:
         return state
     for sp in spatials:

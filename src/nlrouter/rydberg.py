@@ -106,8 +106,11 @@ def effective_od_with_cavity(od_total: float, exponent: float = 0.4) -> float:
 
     Quantifies how a moderate-finesse cavity around the medium stretches a
     given total optical depth; useful for comparing operating regimes, not
-    used by the protocol simulations directly.
+    used by the protocol simulations directly.  A NaN ``od_total`` or a
+    non-finite ``exponent`` raises ValueError.
     """
-    if od_total <= 0.0:
+    if not od_total > 0.0:
         raise ValueError("od_total must be positive")
+    if not math.isfinite(exponent):
+        raise ValueError("exponent must be finite")
     return (od_total / 2.0) ** exponent

@@ -134,6 +134,10 @@ class TestPolarizationOptics:
         out = apply_pbs(s, "b", "a", "c", "d")
         assert out.modes == s.modes + (ModeId("c", "V"),)
         assert out.terms == {(0, 0, 0, 1): 1j}
+        out = apply_nonlinear_medium(s, "a", MEDIUM)
+        assert out.modes == s.modes and out.terms == s.terms
+        out = apply_nonlinear_medium(s, "b", NonlinearMediumSpec(0.25, 0.15, 0.9, 0.3, interaction_basis="hv"))
+        assert out.modes == s.modes + tuple(ModeId("b", "V", sink=True, tag=k) for k in ("single", "pair"))
 
 
 MEDIUM = NonlinearMediumSpec(phi1=0.25, tau1=0.15, phi2=0.9, tau2=0.3, interaction_basis="diagonal")
@@ -192,6 +196,13 @@ class TestNonlinearMedium:
     def test_wrong_basis_raises(self):
         with pytest.raises(ValueError, match="interaction basis"):
             apply_nonlinear_medium(one_photon("f", "H"), "f", MEDIUM)
+
+    def test_a_photon_free_submode_outside_the_basis_is_not_refused(self):
+        # f_H holds no photon, so the diagonal medium acts on f_+ alone, as on f_+ by itself
+        s = FockState.from_occupations({ModeId("f", "+"): 1, ModeId("f", "H"): 0})
+        out, alone = apply_nonlinear_medium(s, "f", MEDIUM), apply_nonlinear_medium(one_photon("f", "+"), "f", MEDIUM)
+        assert out.modes == s.modes + alone.modes[1:]
+        assert [(occ[:1] + occ[2:], a) for occ, a in out.terms.items()] == list(alone.terms.items())
 
     @pytest.mark.parametrize("field,value", [("interaction_basis", "circular"), ("pair_coupling", "anyy")])
     def test_bad_spec_field_is_refused_when_built(self, field, value):
@@ -589,8 +600,10 @@ def test_linear_map_replay_is_bit_identical_to_dense_reference(state, outs_plus,
 
 def reference_medium(state, arm, spec, sign=1):
     """apply_nonlinear_medium as it stood before tapes, over the term dict: the
-    bit-exact reference for the medium's replay."""
-    arm_modes = [m for m in state.modes if m.spatial == arm and not m.sink]
+    bit-exact reference for the medium's replay.  Its arm is the arm submodes that
+    hold a photon in some term, in registry order, as for every element."""
+    held = {m for occ in state.terms for n, m in zip(occ, state.modes) if n}
+    arm_modes = [m for m in state.modes if m.spatial == arm and not m.sink and m in held]
     if not arm_modes:
         return state
     sinks = {(m.pol, k): ModeId(arm, m.pol, sink=True, tag=k) for m in arm_modes for k in ("single", "pair")}
@@ -732,9 +745,13 @@ def test_a_front_end_memo_never_holds_a_value(kind, state, data):
         (lambda s: apply_phase(s, "a", math.nan), one_photon("a", "H"), "phase must be finite"),
         (lambda s: apply_phase(s, "a", -math.inf), one_photon("a", "H"), "phase must be finite"),
         (lambda s: apply_beamsplitter(s, "a", None, "c", "d"), FockState((ModeId("a", "H"),) * 2, {(1, 0): 1.0}), "lists a mode twice"),
+        (lambda s: apply_nonlinear_medium(s, "f", MEDIUM), one_photon("f", "H"), "interaction basis"),
+        (lambda s: apply_nonlinear_medium(s, "f", MEDIUM), FockState.from_occupations({ModeId("f", "+"): 3}), "at most 2"),
+        (lambda s: apply_detector_efficiency(s, ("u", "u"), 0.81), one_photon("u", "H"), "detector is listed twice"),
+        (lambda s: apply_detector_efficiency(s, ("u", "u"), 1.0), one_photon("u", "H"), "detector is listed twice"),
     ],
     ids=["pbs-diagonal", "pbs-unpolarized", "rotation-mixed", "pbs-outputs", "pbs-inputs", "bs-inputs", "bs-outputs", "measure-twice",
-         "phase-nan", "phase-inf", "registry-twice"],
+         "phase-nan", "phase-inf", "registry-twice", "medium-basis", "medium-three", "detector-twice", "detector-twice-ideal"],
 )
 def test_a_refusal_is_raised_on_every_sight(run, state, match):
     fock._LAYOUTS.clear()

@@ -66,8 +66,12 @@ def test_invalid_inputs():
         (lambda: detuned_params(1.0, math.nan, 0.0), "od_b must be positive"),
         (lambda: detuned_params(math.nan, math.inf, 0.0), "phi must not be NaN"),
         (lambda: detuned_params(1.0, 30.0, math.nan), "phi must not be NaN"),
+        (lambda: effective_od_with_cavity(math.nan), "od_total must be positive"),
+        (lambda: effective_od_with_cavity(10.0, math.nan), "exponent must be finite"),
+        (lambda: effective_od_with_cavity(10.0, math.inf), "exponent must be finite"),
     ],
-    ids=["circle-od_b", "circle-phi", "circle-phi-lossless", "detuned-od_b", "detuned-phi", "detuned-phi1"],
+    ids=["circle-od_b", "circle-phi", "circle-phi-lossless", "detuned-od_b", "detuned-phi", "detuned-phi1",
+         "cavity-od_total", "cavity-exponent", "cavity-exponent-inf"],
 )
 def test_nan_is_refused(call, message):
     # a NaN od_b used to slip past `od_b <= 0` and give a NaN record
