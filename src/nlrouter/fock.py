@@ -1,7 +1,8 @@
 """Sparse few-photon state vectors and the optical elements acting on them.
 
-States are kept as a mapping from occupation vectors to complex amplitudes.
-Loss is purified: every absorption event moves the lost photon into a
+A ``FockState`` maps occupation vectors to complex amplitudes and has no
+arithmetic of its own: every amplitude after construction comes from a
+tape.  Loss is purified: every absorption event moves the lost photon into a
 dedicated sink mode instead of tracing it out, so the global state stays a
 normalized ket and total photon number is conserved exactly.
 
@@ -39,7 +40,10 @@ hold photons (``_sig_pols``): a photon-free submode is left alone and
 never grows the registry, and each arm submode of the medium that holds a
 photon grows a single and a pair sink.  The polarizing beam splitter, the
 45-degree rotation and the medium refuse a photon outside their bases; the
-first two refuse an unpolarized one too, and the medium accepts it.
+first two refuse an unpolarized one too, and the medium accepts it.  The
+beam splitters, loss and the medium refuse a target or sink submode that is
+no source yet holds a photon, as the norm would drift (``_isometric``); the
+rotation's basis rule covers it, and ``_apply_linear_map`` has no such rule.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from functools import reduce
 from itertools import compress, repeat
 from operator import add, itemgetter, mul, truediv
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 __all__ = [
     "ModeId",
@@ -109,7 +113,8 @@ class FockState:
 
     ``terms`` is a read-only view that maps occupation tuples (aligned with
     ``modes``) to amplitudes; an element's output builds it on first read.
-    All mutating helpers return new instances; the registry only ever grows.
+    A state never changes: the elements and ``measure_all`` return new
+    states, and the registry only ever grows.
     """
 
     __slots__ = ("modes", "_terms", "_sig", "_amps")
@@ -160,33 +165,6 @@ class FockState:
         occ = tuple(occupations[m] for m in modes)
         return cls(modes, {occ: 1.0 + 0.0j})
 
-    def ensure_modes(self, new_modes: Iterable[ModeId]) -> "FockState":
-        """Return an equivalent state whose registry includes ``new_modes``."""
-        modes, grown = _grown(self.modes, new_modes)
-        pad = (0,) * grown
-        return FockState(modes, {occ + pad: a for occ, a in self.terms.items()}) if grown else self
-
-    def norm_squared(self) -> float:
-        return reduce(add, (a.real * a.real + a.imag * a.imag for a in self.terms.values()), 0.0)
-
-    def total_photons(self) -> set[int]:
-        """Set of total photon numbers present across basis terms."""
-        return {sum(occ) for occ in self.terms}
-
-    def prune(self, tol: float = PRUNE_TOL) -> "FockState":
-        pruned = FockState(self.modes)
-        pruned._terms = MappingProxyType({occ: a for occ, a in self.terms.items() if abs(a) > tol})  # NaN dropped
-        return pruned
-
-    def scaled(self, factor: complex) -> "FockState":
-        return FockState(self.modes, {occ: a * factor for occ, a in self.terms.items()})
-
-    def normalized(self) -> "FockState":
-        n = math.sqrt(self.norm_squared())
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero state")
-        return self.scaled(1.0 / n)
-
     def tensor(self, other: "FockState") -> "FockState":
         """Product state on the disjoint union of the two registries."""
         overlap = set(self.modes) & set(other.modes)
@@ -198,21 +176,6 @@ class FockState:
             for occ_b, amp_b in other.terms.items():
                 terms[occ_a + occ_b] = amp_a * amp_b
         return FockState(modes, terms)
-
-    def inner(self, other: "FockState") -> complex:
-        a = self.ensure_modes(other.modes)
-        b = other.ensure_modes(a.modes)
-        pos = {m: i for i, m in enumerate(b.modes)}
-        perm = [pos[m] for m in a.modes]
-        bterms = {tuple(occ[p] for p in perm): amp for occ, amp in b.terms.items()}
-        out = 0.0j
-        for occ, amp in a.terms.items():
-            if occ in bterms:
-                out += amp.conjugate() * bterms[occ]
-        return out
-
-    def fidelity(self, other: "FockState") -> float:
-        return abs(self.inner(other)) ** 2
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = []
@@ -449,11 +412,22 @@ def _distinct_ports(element: str, in1: Optional[str], in2: Optional[str], out1: 
         raise ValueError(f"{element} ports repeat: in {in1!r}, {in2!r}; out {out1!r}, {out2!r}")
 
 
+def _isometric(sig: _Signature, element: str, structure: Collection[tuple[ModeId, tuple[ModeId, ...]]]) -> None:
+    """Refuse a target or sink submode that is no source yet holds a photon: the norm would drift."""
+    w, p = len(sig.modes), sig.packed
+    index = {m: i for i, m in enumerate(sig.modes)}
+    sources = {m for m, _ in structure}
+    held = sorted({t.label() for _, outs in structure for t in outs if t not in sources and t in index and any(p[index[t]::w])})
+    if held:
+        raise ValueError(f"{element} would add photons to {held}, which already hold photons it does not move")
+
+
 def _beamsplitter_front(sig: _Signature, in1: Optional[str], in2: Optional[str], out1: str, out2: str) -> Optional[_LinearTape]:
     _distinct_ports("beam splitter", in1, in2, out1, out2)
     s = 1.0 / math.sqrt(2.0)
     pairs = {src: dsts for src, dsts in ((in1, (out2, out1)), (in2, (out1, out2))) if src is not None}
     structure = [(ModeId(src, pol), tuple(ModeId(d, pol) for d in dsts)) for src, dsts in pairs.items() for pol in _sig_pols(sig, src)]
+    _isometric(sig, "beam splitter", structure)
     return _front(sig, structure, (s, 1j * s) * len(structure))
 
 
@@ -462,7 +436,7 @@ def apply_beamsplitter(state: FockState, in1: Optional[str], in2: Optional[str],
 
     Either input may be ``None`` (vacuum port).  Polarization submodes are
     transformed independently.  Two equal inputs or two equal outputs raise
-    ValueError.
+    ValueError, as does an output submode holding a photon that is no input.
     """
     return _linear(state, _layout(_beamsplitter_front, state._packed(), in1, in2, out1, out2))
 
@@ -488,6 +462,7 @@ def _pbs_front(sig: _Signature, in1: str, in2: str, out1: str, out2: str) -> Opt
             if pol not in _HV:
                 raise ValueError(f"PBS input {src} carries polarization {pol!r}; expected H/V")
             mapping[ModeId(src, pol)] = (ModeId(t_out if pol == "H" else r_out, pol),)
+    _isometric(sig, "PBS", mapping.items())
     return _front(sig, mapping.items(), tuple(1.0 + 0.0j if m.pol == "H" else 1j for m in mapping))
 
 
@@ -497,7 +472,7 @@ def apply_pbs(state: FockState, in1: str, in2: str, out1: str, out2: str) -> Foc
     in1_H -> out2_H, in1_V -> i*out1_V, in2_H -> out1_H, in2_V -> i*out2_V.
     Photons must be expressed in the H/V basis: a diagonal or unpolarized
     photon in either input raises ValueError, as do two equal inputs or two
-    equal outputs.
+    equal outputs, and an output submode holding a photon that is no input.
     """
     return _linear(state, _layout(_pbs_front, state._packed(), in1, in2, out1, out2))
 
@@ -526,11 +501,13 @@ def apply_rotation_45(state: FockState, spatial: str) -> FockState:
 
 
 def _loss_front(sig: _Signature, spatial: str, tag: str) -> Optional[_LinearTape]:
-    return _front(sig, [(ModeId(spatial, pol), (ModeId(spatial, pol), ModeId(spatial, pol, sink=True, tag=tag))) for pol in _sig_pols(sig, spatial)])
+    structure = [(ModeId(spatial, pol), (ModeId(spatial, pol), ModeId(spatial, pol, sink=True, tag=tag))) for pol in _sig_pols(sig, spatial)]
+    _isometric(sig, "loss", structure)
+    return _front(sig, structure)
 
 
 def apply_loss(state: FockState, spatial: str, transmission: float, tag: str = "lin") -> FockState:
-    """Linear (single-photon) loss channel on every photon of a spatial mode."""
+    """Linear (single-photon) loss on every photon of a spatial mode; a ``tag`` sink holding a photon raises ValueError."""
     if not 0.0 <= transmission <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
     t = math.sqrt(transmission)
@@ -584,6 +561,7 @@ def _medium_tape(sig: _Signature, arm: str, basis: str, coupling: str) -> Option
     if not arm_modes:
         return None
     sinks = {(m, k): ModeId(arm, m.pol, sink=True, tag=k) for m in arm_modes for k in ("single", "pair")}
+    _isometric(sig, "nonlinear medium", [(m, (sinks[m, "single"], sinks[m, "pair"])) for m in arm_modes])
     modes, grown = _grown(sig.modes, sinks.values())
     pad = bytes(grown)
     index = {m: i for i, m in enumerate(modes)}
@@ -638,8 +616,9 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
     branch; photon pairs in the arm get the blockaded-pair amplitude
     sqrt((1-tau1)(1-tau2))*exp(i*sign*(phi1+phi2)) plus first/second-photon
     absorption branches.  Branch probabilities sum to 1 exactly.  More than
-    two photons in one arm, or an arm photon outside the spec's interaction
-    basis, raises ValueError; an unpolarized arm photon is accepted.
+    two photons in one arm, an arm photon outside the spec's interaction
+    basis, or a sink holding a photon raises ValueError; an unpolarized arm
+    photon is accepted.
     """
     if sign not in (-1, 1):
         raise ValueError("arm phase sign must be +1 or -1")

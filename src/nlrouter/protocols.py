@@ -334,24 +334,24 @@ _GHZ_TARGETS = {
 }
 
 
-def _ghz_target(herald: ModeId) -> tuple[str, FockState]:
+def _ghz_target(herald: ModeId, modes: tuple[ModeId, ...]) -> dict[tuple, complex]:
+    """The GHZ state ``herald`` selects, as its two components' occupation tuples on the registry
+    ``modes`` and their amplitudes.  A component with a photon in a mode that ``modes`` lacks is
+    left out: no term on ``modes`` can match it."""
     out_sp, sign, pairing = _GHZ_TARGETS[herald]
-    modes = (
-        ModeId("r", "H"),
-        ModeId("r", "V"),
-        ModeId("s", "H"),
-        ModeId("s", "V"),
-        ModeId(out_sp, "H"),
-        ModeId(out_sp, "V"),
-    )
-    s = 1.0 / math.sqrt(2.0)
+    r_h, r_v, s_h, s_v = ModeId("r", "H"), ModeId("r", "V"), ModeId("s", "H"), ModeId("s", "V")
+    out_h, out_v = ModeId(out_sp, "H"), ModeId(out_sp, "V")
     if pairing == "same":
-        first = (1, 0, 1, 0, 1, 0)  # r_H s_H out_H
-        second = (0, 1, 0, 1, 0, 1)  # r_V s_V out_V
+        first, second = (r_h, s_h, out_h), (r_v, s_v, out_v)
     else:
-        first = (0, 1, 1, 0, 1, 0)  # r_V s_H out_H
-        second = (1, 0, 0, 1, 0, 1)  # r_H s_V out_V
-    return out_sp, FockState(modes, {first: complex(s), second: complex(sign * s)})
+        first, second = (r_v, s_h, out_h), (r_h, s_v, out_v)
+    s = 1.0 / math.sqrt(2.0)
+    have = set(modes)
+    return {
+        tuple(int(m in photons) for m in modes): amp
+        for photons, amp in ((first, complex(s)), (second, complex(sign * s)))
+        if have.issuperset(photons)
+    }
 
 
 def run_ghz(
@@ -393,7 +393,7 @@ def run_ghz(
             outcomes.append(OutcomeRecord(rec.pattern, rec.probability, "heralded_failure"))
             continue
         herald = rec.pattern[0][0]
-        out_sp, target = _ghz_target(herald)
+        out_sp = _GHZ_TARGETS[herald][0]
         guard_sp = "g" if out_sp == "p" else "p"
         post = rec.posterior
         post = apply_detector_efficiency(post, (guard_sp,), p_de)
@@ -410,12 +410,15 @@ def run_ghz(
                 continue
             inner = sub.posterior
             out_idx = [i for i, m in enumerate(inner.modes) if m.spatial == out_sp and not m.sink]
-            filled = {occ: a for occ, a in inner.terms.items() if sum(occ[i] for i in out_idx) == 1}
-            p_filled = reduce(add, (abs(a) ** 2 for a in filled.values()), 0.0)
+            filled = [(occ, a) for occ, a in inner.terms.items() if sum(occ[i] for i in out_idx) == 1]
+            p_filled = reduce(add, (abs(a) ** 2 for _, a in filled), 0.0)
             p_empty = 1.0 - p_filled
             if p_filled > 0.0:
-                ket = FockState(inner.modes, filled).normalized()
-                fid = ket.fidelity(target)
+                # the overlap of the normalized filled branch with the target, summed in term order
+                scale = 1.0 / math.sqrt(reduce(add, (a.real * a.real + a.imag * a.imag for _, a in filled), 0.0))
+                target = _ghz_target(herald, inner.modes)
+                overlap = reduce(add, ((a * scale).conjugate() * target[occ] for occ, a in filled if occ in target), 0.0j)
+                fid = abs(overlap) ** 2
                 succ += prob * p_filled
                 fid_weighted += prob * p_filled * fid
                 outcomes.append(OutcomeRecord(rec.pattern + sub.pattern, prob * p_filled, f"success:{herald.label()}"))

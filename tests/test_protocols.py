@@ -232,7 +232,9 @@ class TestBellStates:
         for i, si in enumerate(states):
             for j, sj in enumerate(states):
                 expected = 1.0 if i == j else 0.0
-                assert abs(abs(si.inner(sj)) - expected) < EXACT
+                assert si.modes == sj.modes
+                overlap = sum(a.conjugate() * sj.terms.get(occ, 0.0) for occ, a in si.terms.items())
+                assert abs(abs(overlap) - expected) < EXACT
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown Bell state"):
@@ -261,6 +263,7 @@ class TestBitExactPins:
     def test_ghz_with_delay_loss(self):
         r = run_ghz(PI / 3, 30.0, 0.98, delay_transmission=0.9)
         assert (r.p_success.hex(), r.total().hex()) == ("0x1.e3f2b3f8189c0p-2", "0x1.ffffffffffff2p-1")
+        assert r.success_fidelity.hex() == "0x1.ffffffffffffcp-1"
 
     def test_single_photon_router(self):
         probs = run_router(1.7, 30.0, n_photons=1, phi1=-1.7 / 11)
