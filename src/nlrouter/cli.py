@@ -153,8 +153,11 @@ def _check_operating_point(phis: Sequence[float], ods: Sequence[float], pdes: Se
     """Refuse values outside the model's domain; a phase beyond od_b/4 is a row status instead."""
     if not all(math.isfinite(phi) for phi in phis):
         raise CliError("phi and phi1 must be finite", USAGE_ERROR)
-    if not all(od > 0.0 for od in ods):
-        raise CliError("od_b must be positive (inf allowed)", USAGE_ERROR)
+    try:
+        for od in ods:
+            loss_from_phase(0.0, od)  # the circle's od_b rule: positive, and (od_b/4)^2 finite unless od_b is inf
+    except ValueError as exc:
+        raise CliError(f"{exc} (inf allowed)", USAGE_ERROR) from None
     if not all(0.0 <= pde <= 1.0 for pde in pdes):
         raise CliError("p_de must lie in [0, 1]", USAGE_ERROR)
 

@@ -18,8 +18,9 @@ interned, and a list of amplitudes; ``FockState.terms``, a read-only view,
 builds its dict only when something reads it.  An element call makes one
 table entry: on the first sight of an (element structure, input signature)
 pair the element records a tape of its term loop, in the loop's order: per
-input slot the output slots it adds to, with the plan monomial (linear map)
-or branch factors (medium, multiplied left to right) that scale it, or per
+input slot the output slots it adds to and the plan monomial that scales each
+(linear map), per input slot the factors of each branch, multiplied left to
+right, whose keys the output signature lists in branch order (medium), or per
 pattern the slots it sums (measurement).  It replays the tape on that call
 and every later one, so each element computes amplitudes in one place only.
 No entry holds a value (a phase, a transmission) nor a refusal.  A linear
@@ -29,11 +30,11 @@ recipe of its coefficient) are coefficient-free entries too, shared by every
 tape that meets them.  A linear tape holds its plans, source count and any
 constant coefficients; the monomial coefficients of the last vector it
 replayed, evaluated from the recipes in the term loop's order, are the only
-state that follows a call's coefficients.  The replay keeps the loop's two value-dependent branches: prune's
-``abs(a) > PRUNE_TOL`` drops slots and keeps the order of the rest, and the
-medium skips a zero branch, so a slot sits where its first nonzero branch
-put it.  Signatures share the table, and tapes one copy of each equal step;
-both are cleared once the table holds ``_LAYOUT_LIMIT`` entries.
+state that follows a call's coefficients.  Prune is the replay's one
+value-dependent step: ``abs(a) > PRUNE_TOL`` drops slots (zero and NaN ones
+too) and keeps the order of the rest.  Signatures share the table, and tapes
+one copy of each equal step; both are cleared once the table holds
+``_LAYOUT_LIMIT`` entries.
 
 Every element acts only on the polarization submodes of a spatial mode that
 hold photons (``_sig_pols``): a photon-free submode is left alone and
@@ -231,17 +232,16 @@ def _signature(modes: tuple[ModeId, ...], keys: Sequence[bytes]) -> _Signature:
     return _layout(_Signature, modes, b"".join(keys), len(keys))
 
 
-def _subset(sig: _Signature, slots: tuple[int, ...]) -> _Signature:
-    keys = sig.keys()
-    return _signature(sig.modes, [keys[i] for i in slots])
+def _subset(sig: _Signature, mask: bytes) -> _Signature:
+    return _signature(sig.modes, list(compress(sig.keys(), mask)))
 
 
 def _replayed(sig: _Signature, amps: list[complex]) -> FockState:
     """A tape's output: the slots whose amplitude is above ``PRUNE_TOL``, as prune keeps terms, in slot order."""
-    if all(map(PRUNE_TOL.__lt__, map(abs, amps))):
+    above = bytes(map(PRUNE_TOL.__lt__, map(abs, amps)))
+    if all(above):
         return FockState._of(sig, amps)
-    above = list(map(PRUNE_TOL.__lt__, map(abs, amps)))
-    return FockState._of(_layout(_subset, sig, tuple(compress(range(len(amps)), above))), list(compress(amps, above)))
+    return FockState._of(_layout(_subset, sig, above), list(compress(amps, above)))
 
 
 def _moved(occ: bytes, changes: tuple) -> bytes:
@@ -551,8 +551,9 @@ class NonlinearMediumSpec:
 
 
 def _medium_tape(sig: _Signature, arm: str, basis: str, coupling: str) -> Optional[tuple]:
-    """(output signature, per input slot the output slot and factors of each branch), or None when
-    no arm submode holds a photon.  Each arm submode holding one grows a single and a pair sink."""
+    """(output signature, per input slot the factors of each branch), or None when no arm submode
+    holds a photon.  Each arm submode holding one grows a single and a pair sink.  The signature
+    lists each branch's key in branch order; sinks holding photons are refused, so no two share one."""
     pols = _sig_pols(sig, arm)
     for pol in pols:
         if pol is not None and pol not in _BASIS_POLS[basis]:
@@ -600,12 +601,12 @@ def _medium_tape(sig: _Signature, arm: str, basis: str, coupling: str) -> Option
         return [(occ, 7), (absorbed(occ, (b, "single")), 8), (absorbed(occ, (a, "single")), 8),
                 (absorbed(occ, (a, "single"), (b, "single")), 9)]
 
-    slots: dict[bytes, int] = {}
-    steps = []
+    keys, steps = [], []
     for occ in sig.keys():
-        step = tuple((slots.setdefault(k, len(slots)), f) for k, f in branches(occ + pad))
-        steps.append(_shared(step))
-    return _signature(modes, list(slots)), tuple(steps)
+        step = branches(occ + pad)
+        keys += [k for k, _ in step]
+        steps.append(_shared(tuple(f for _, f in step)))
+    return _signature(modes, keys), tuple(steps)
 
 
 def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec, sign: int = 1) -> FockState:
@@ -615,10 +616,10 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
     single photons get sqrt(1-tau1)*exp(i*sign*phi1) plus an absorption
     branch; photon pairs in the arm get the blockaded-pair amplitude
     sqrt((1-tau1)(1-tau2))*exp(i*sign*(phi1+phi2)) plus first/second-photon
-    absorption branches.  Branch probabilities sum to 1 exactly.  More than
-    two photons in one arm, an arm photon outside the spec's interaction
-    basis, or a sink holding a photon raises ValueError; an unpolarized arm
-    photon is accepted.
+    absorption branches.  Branch probabilities sum to 1 exactly, and prune
+    drops a zero branch.  More than two photons in one arm, an arm photon
+    outside the spec's interaction basis, or a sink holding a photon raises
+    ValueError; an unpolarized arm photon is accepted.
     """
     if sign not in (-1, 1):
         raise ValueError("arm phase sign must be +1 or -1")
@@ -637,16 +638,7 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
     if tape is None:
         return state
     out_sig, steps = tape
-    out: dict[int, complex] = {}
-    for amp, step in zip(state._amps, steps):
-        for j, f in step:
-            v = reduce(mul, factors[f], amp)
-            if v != 0.0:  # a zero branch is never put, so a slot sits where its first nonzero branch puts it
-                out[j] = out.get(j, 0.0j) + v
-    slots = tuple(out)
-    if slots != tuple(range(out_sig.count)):
-        out_sig = _layout(_subset, out_sig, slots)
-    return _replayed(out_sig, list(out.values()))
+    return _replayed(out_sig, [0.0j + reduce(mul, factors[f], amp) for amp, step in zip(state._amps, steps) for f in step])
 
 
 def apply_detector_efficiency(state: FockState, spatials: Sequence[str], p_de: float) -> FockState:

@@ -13,6 +13,7 @@ Phases with |phi| > od_b/4 are unreachable; phi = pi needs od_b > 4*pi.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 __all__ = [
@@ -50,6 +51,9 @@ class DetunedParams(NamedTuple):
         return self.phi2 - self.phi1
 
 
+_MAX_RADIUS = math.sqrt(sys.float_info.max)  # the largest od_b/4 whose square is finite
+
+
 def _circle(phi: float, od_b: float, branch: str) -> tuple[float, float]:
     """(eps, tau) at conditional phase ``phi``: the checks and arithmetic of :func:`loss_from_phase`."""
     if not od_b > 0.0:
@@ -59,6 +63,8 @@ def _circle(phi: float, od_b: float, branch: str) -> tuple[float, float]:
     if math.isinf(od_b):
         return 0.0, 0.0
     radius = od_b / 4.0
+    if radius > _MAX_RADIUS:
+        raise ValueError(f"od_b={od_b:g} too large: (od_b/4)^2 overflows; od_b <= {4.0 * _MAX_RADIUS:g} required")
     if abs(phi) > radius:
         raise ValueError(f"phase {phi:g} unreachable at od_b={od_b:g}; |phi| <= od_b/4 required")
     root = math.sqrt(radius * radius - phi * phi)
@@ -81,8 +87,9 @@ def loss_from_phase(phi: float, od_b: float, branch: str = "lower") -> CirclePoi
 
     ``od_b`` is the blockaded optical depth; ``od_b = inf`` gives the
     lossless limit tau = 0 for any phase.  Raises ValueError when ``phi``
-    lies outside the reachable range |phi| <= od_b/4, and for a NaN
-    ``phi`` or ``od_b``.
+    lies outside the reachable range |phi| <= od_b/4, for a NaN ``phi`` or
+    ``od_b``, and for a finite ``od_b`` whose (od_b/4)^2 overflows (above
+    about 5.36e154).
     """
     eps, tau = _circle(phi, od_b, branch)
     return CirclePoint(phi, eps, tau)
@@ -106,11 +113,14 @@ def effective_od_with_cavity(od_total: float, exponent: float = 0.4) -> float:
 
     Quantifies how a moderate-finesse cavity around the medium stretches a
     given total optical depth; useful for comparing operating regimes, not
-    used by the protocol simulations directly.  A NaN ``od_total`` or a
-    non-finite ``exponent`` raises ValueError.
+    used by the protocol simulations directly.  A NaN ``od_total``, a
+    non-finite ``exponent`` or a result that overflows raises ValueError.
     """
     if not od_total > 0.0:
         raise ValueError("od_total must be positive")
     if not math.isfinite(exponent):
         raise ValueError("exponent must be finite")
-    return (od_total / 2.0) ** exponent
+    try:
+        return (od_total / 2.0) ** exponent
+    except OverflowError:
+        raise ValueError(f"(od_total/2)**exponent overflows at od_total={od_total:g}, exponent={exponent:g}") from None

@@ -9,7 +9,7 @@ import pickle
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlrouter import cli, protocols
@@ -269,12 +269,26 @@ class TestExitCodes:
             ["circle", "--odb", "inf,3.5"],
             ["circle", "--points", "1000001"],
             ["circle", "--points", "600000", "--odb", "3.5,8"],
+            ["sweep", "--odb", "1e308"],
+            ["opt-phase", "--odb", "1e308"],
+            ["circle", "--odb", "1e308"],
+            ["circle", "--odb", "3.5,1e308"],
         ],
     )
     def test_bad_value_is_one_line_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("nlrouter: error: ") and err.count("\n") == 1
+
+    def test_largest_finite_od_b_is_accepted(self, capsys):
+        # (od_b/4)^2 overflows above about 5.36e154; 5e154 stays a valid operating point
+        for argv in (["sweep", "--phi", "pi/3", "--odb", "5e154", "--engine", "both"], ["opt-phase", "--odb", "5e154"],
+                     ["circle", "--odb", "5e154", "--points", "3"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            rows = [line for line in out.splitlines()[1:] if not line.startswith("#")]
+            assert rows and not any("nan" in row or "inf" in row for row in rows)
+            assert all(0.0 <= p <= 1.0 for p in _ok_probabilities(out))
 
     def test_sweep_grid_cap_is_inclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_POINTS", 6)
@@ -296,7 +310,7 @@ class TestExitCodes:
 _SWEEP_VALUES = {
     "--protocol": ["bm", "evl", "ghz", "cnot", "router", "warp"],
     "--phi": ["pi/3", "0:pi:3", "2.9", "-pi", "1e300", "nan", "inf", "three", "0:pi:x"],
-    "--odb": ["30", "inf", "8,inf", "1e-300", "0", "-5", "nan", "abc", "30,"],
+    "--odb": ["30", "inf", "8,inf", "1e-300", "1e308", "0", "-5", "nan", "abc", "30,"],
     "--pde": ["0.98", "1", "0", "0.5,1", "1.5", "-0.5", "nan", "abc"],
     "--phi1-ratio": ["0", "-1/11", "0.1", "nan", "inf", "x"],
     "--engine": ["formula", "both", "sim"],
@@ -304,7 +318,7 @@ _SWEEP_VALUES = {
 }
 _OPT_VALUES = {
     "--protocol": ["bm", "evl", "ghz", "cnot"],
-    "--odb": ["100", "5", "60:500:3", "60,inf", "100,100", "0:10:3", "60:2000:x", "60:inf:3", "1:2", "abc", "-5", "nan"],
+    "--odb": ["100", "5", "60:500:3", "60,inf", "100,100", "0:10:3", "60:2000:x", "60:inf:3", "1:2", "abc", "-5", "nan", "1e308"],
     "--pde": ["1", "0.9", "1.5", "abc", "nan"],
 }
 
@@ -341,6 +355,9 @@ def _ok_probabilities(text):
 class TestArgvProperty:
     @settings(max_examples=30, deadline=None)
     @given(st.one_of(_argv("sweep", _SWEEP_VALUES), _argv("opt-phase", _OPT_VALUES)))
+    @example(["sweep", "--phi=pi/3", "--odb=1e308"])  # (od_b/4)^2 overflows: nan marked ok, unless refused
+    @example(["sweep", "--protocol=router", "--phi=pi/3", "--odb=1e308"])
+    @example(["opt-phase", "--odb=1e308"])
     def test_exit_code_and_probability_range(self, argv):
         code, out = _run_quietly(argv)
         assert code in (0, 1, 2, 3)

@@ -729,6 +729,31 @@ def test_medium_replay_is_bit_identical_to_reference(state, spec_a, spec_b, coup
 
 
 @settings(max_examples=150, deadline=None)
+@given(medium_inputs(), st.sampled_from(["same_polarization", "any"]))
+def test_medium_tape_lists_each_branch_key_once_in_branch_order(state, coupling):
+    """The invariant the medium's list replay rests on: its tape's signature holds one
+    distinct key per branch, in branch order, which is the order in which the reference
+    puts them when every amplitude and every factor is nonzero."""
+    ones = FockState(state.modes, dict.fromkeys(state.terms, 1.0 + 0.0j))
+    spec = NonlinearMediumSpec(0.4, 0.3, 1.1, 0.2, pair_coupling=coupling)
+    fock._LAYOUTS.clear()
+    try:
+        ref = reference_medium(ones, "f", spec)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fock._medium_tape(ones._packed(), "f", "diagonal", coupling)
+        return
+    tape = fock._medium_tape(ones._packed(), "f", "diagonal", coupling)
+    if tape is None:
+        assert ref is ones
+        return
+    out_sig, steps = tape
+    keys = out_sig.keys()
+    assert len(set(keys)) == len(keys) == sum(map(len, steps))
+    assert (out_sig.modes, keys) == (ref.modes, [bytes(k) for k in ref.terms])
+
+
+@settings(max_examples=150, deadline=None)
 @given(few_photon_states(max_total=3), st.lists(st.sampled_from(_POOL + _ABSENT), max_size=4, unique=True), st.booleans(), amps)
 def test_measure_all_replay_is_bit_identical_to_reference(state, detected, keep_posterior, z):
     assert_replay_matches_reference(

@@ -69,14 +69,33 @@ def test_invalid_inputs():
         (lambda: effective_od_with_cavity(math.nan), "od_total must be positive"),
         (lambda: effective_od_with_cavity(10.0, math.nan), "exponent must be finite"),
         (lambda: effective_od_with_cavity(10.0, math.inf), "exponent must be finite"),
+        (lambda: loss_from_phase(1.0, 1e308), "od_b=1e.308 too large"),
+        (lambda: loss_from_phase(0.0, 5.37e154, "upper"), "too large"),
+        (lambda: detuned_params(1.0, 1e308, 0.1), "too large"),
+        (lambda: effective_od_with_cavity(10.0, 1000.0), "overflows"),
+        (lambda: effective_od_with_cavity(1e308, 2.0), "overflows"),
     ],
     ids=["circle-od_b", "circle-phi", "circle-phi-lossless", "detuned-od_b", "detuned-phi", "detuned-phi1",
-         "cavity-od_total", "cavity-exponent", "cavity-exponent-inf"],
+         "cavity-od_total", "cavity-exponent", "cavity-exponent-inf", "circle-od_b-overflow",
+         "circle-od_b-overflow-upper", "detuned-od_b-overflow", "cavity-overflow", "cavity-od_total-overflow"],
 )
 def test_nan_is_refused(call, message):
-    # a NaN od_b used to slip past `od_b <= 0` and give a NaN record
+    # a NaN od_b used to slip past `od_b <= 0` and give a NaN record, and a finite
+    # od_b whose (od_b/4)^2 overflows gave eps = tau = -inf
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_largest_finite_od_b_is_on_the_circle():
+    # 4 * sqrt(max float) is the largest od_b whose (od_b/4)^2 is finite
+    top = 4.0 * math.sqrt(1.7976931348623157e308)
+    for od in (5e154, top):
+        for branch in ("lower", "upper"):
+            cp = loss_from_phase(1.0, od, branch)
+            assert math.isfinite(cp.eps) and 0.0 <= cp.tau <= 1.0
+        assert all(0.0 <= t <= 1.0 for t in detuned_params(1.0, od, 0.1)[1::2])
+    with pytest.raises(ValueError, match="too large"):
+        loss_from_phase(1.0, math.nextafter(top, math.inf))
 
 
 class TestRecords:
