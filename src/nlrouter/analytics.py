@@ -6,6 +6,10 @@ numerical precision.  Parameters: conditional phase ``phi``, blockaded
 optical depth ``od_b`` (sets absorption through the phase-loss circle),
 per-photon detection efficiency ``p_de`` and optional single-photon detuning
 phase ``phi1`` for the rebalanced operating point.
+
+:data:`PROTOCOLS` is the one protocol table: each :class:`Protocol` record
+pairs a closed form with the circuit that must agree with it, under its
+library name and its CLI alias.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
+from . import protocols
 from .rydberg import detuned_params, loss_from_phase
 
 __all__ = [
@@ -25,6 +30,8 @@ __all__ = [
     "p_cnot",
     "p_factorization",
     "p_router",
+    "Protocol",
+    "PROTOCOLS",
     "loglog_fit",
     "log_grid",
     "OptimalPhaseResult",
@@ -109,13 +116,34 @@ def p_factorization(phi: float, od_b: float = math.inf, p_de: float = 1.0, phi1:
     return p_cnot(phi, od_b, p_de, phi1) ** 2
 
 
-_FORMULAS: dict[str, Callable[..., float]] = {
-    "bell_measurement": p_bell_measurement,
-    "evl_bell_measurement": p_evl_bell_measurement,
-    "ghz": p_ghz,
-    "cnot": p_cnot,
-    "factorization": p_factorization,
-}
+@dataclass(frozen=True)
+class Protocol:
+    """One protocol: its closed form and the circuit that must agree with it.
+
+    ``name`` is the library name :func:`find_optimal_phase` takes and
+    ``alias`` the CLI name.  ``formula`` and ``simulate`` take the operating
+    point fields named in ``args``, in that order; a protocol takes the
+    single-photon phase phi1 exactly when ``args`` names it.  The router
+    returns port-count probabilities, the others a success probability.
+    """
+
+    name: str
+    alias: str
+    formula: Callable[..., Any]
+    simulate: Callable[..., Any]
+    args: tuple[str, ...] = ("phi", "od_b", "p_de", "phi1")
+
+
+# The simulators look ``protocols.run_*`` up at call time, so a wrapper
+# installed on that module sees every circuit run through this table.
+PROTOCOLS: tuple[Protocol, ...] = (
+    Protocol("bell_measurement", "bm", p_bell_measurement, lambda *a: protocols.run_bell_measurement(*a).p_success),
+    Protocol("evl_bell_measurement", "evl", p_evl_bell_measurement, lambda *a: protocols.run_evl_bell_measurement(*a).p_success, ("phi", "od_b", "p_de")),
+    Protocol("ghz", "ghz", p_ghz, lambda *a: protocols.run_ghz(*a).p_success),
+    Protocol("cnot", "cnot", p_cnot, protocols.simulated_cnot_success),
+    Protocol("factorization", "factorization", p_factorization, protocols.simulated_factorization_success),
+    Protocol("router", "router", p_router, lambda phi, od_b, phi1: protocols.run_router(phi, od_b, 2, phi1), ("phi", "od_b", "phi1")),
+)
 
 
 @dataclass(frozen=True)
@@ -130,12 +158,12 @@ def find_optimal_phase(protocol: str, od_b: float, p_de: float = 1.0) -> Optimal
     """Phase maximizing a protocol's success at fixed optical depth.
 
     Coarse grid scan over the reachable phase range followed by
-    golden-section refinement to phase accuracy ~1e-9.
+    golden-section refinement to phase accuracy ~1e-9.  ``protocol`` names
+    a :data:`PROTOCOLS` record whose closed form takes p_de.
     """
-    try:
-        f = _FORMULAS[protocol]
-    except KeyError:
-        raise ValueError(f"unknown protocol {protocol!r}") from None
+    f = next((p.formula for p in PROTOCOLS if p.name == protocol and "p_de" in p.args), None)
+    if f is None:
+        raise ValueError(f"unknown protocol {protocol!r}")
     hi = math.pi if math.isinf(od_b) else min(math.pi, od_b / 4.0)
     n = 10_000
     best_i, best_v = 0, -1.0

@@ -15,10 +15,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TextIO
 
-from . import analytics, protocols
+from . import analytics
 from .rydberg import _reachable, loss_from_phase
 
 USAGE_ERROR, NUMERICAL_ERROR, IO_ERROR = 1, 2, 3
@@ -33,42 +32,11 @@ examples: pi, pi/3, 2*pi/3, 0.875, -1/11, 0:pi:128
 """
 
 
-@dataclass(frozen=True)
-class Protocol:
-    """Everything the CLI knows about one protocol.
-
-    ``formula`` and ``simulate`` take the ``SweepPoint`` fields named in
-    ``args``, in that order; a protocol takes the single-photon phase phi1
-    exactly when ``args`` names it.  ``opt_name`` is the protocol's
-    :func:`~nlrouter.analytics.find_optimal_phase` name when ``opt-phase``
-    supports it.  The router returns port-count probabilities, the others a
-    success probability.
-    """
-
-    formula: Callable[..., Any]
-    simulate: Callable[..., Any]
-    args: tuple[str, ...] = ("phi", "od_b", "p_de", "phi1")
-    opt_name: Optional[str] = None
-
-    @property
-    def detunable(self) -> bool:
-        return "phi1" in self.args
-
-
-# The simulators look ``protocols.run_*`` up at call time, so a wrapper
-# installed on that module sees every circuit the CLI runs.
-PROTOCOL_TABLE: dict[str, Protocol] = {
-    "bm": Protocol(analytics.p_bell_measurement, lambda *a: protocols.run_bell_measurement(*a).p_success, opt_name="bell_measurement"),
-    "evl": Protocol(analytics.p_evl_bell_measurement, lambda *a: protocols.run_evl_bell_measurement(*a).p_success, args=("phi", "od_b", "p_de"), opt_name="evl_bell_measurement"),
-    "ghz": Protocol(analytics.p_ghz, lambda *a: protocols.run_ghz(*a).p_success, opt_name="ghz"),
-    "cnot": Protocol(analytics.p_cnot, protocols.simulated_cnot_success),
-    "factorization": Protocol(analytics.p_factorization, protocols.simulated_factorization_success),
-    "router": Protocol(analytics.p_router, lambda phi, od_b, phi1: protocols.run_router(phi, od_b, 2, phi1), args=("phi", "od_b", "phi1")),
-}
+PROTOCOL_TABLE: dict[str, analytics.Protocol] = {p.alias: p for p in analytics.PROTOCOLS}
 PROTOCOLS = tuple(PROTOCOL_TABLE)
-OPT_PROTOCOLS = tuple(name for name, p in PROTOCOL_TABLE.items() if p.opt_name)
+OPT_PROTOCOLS = ("bm", "evl", "ghz")  # the three elementary circuits: opt-phase's choices and selftest's checks
 # The sweep calls closed forms through this dict, so each entry can be swapped alone.
-_FORMULA: dict[str, Callable[..., Any]] = {name: p.formula for name, p in PROTOCOL_TABLE.items()}
+_FORMULA: dict[str, Callable[..., Any]] = {alias: p.formula for alias, p in PROTOCOL_TABLE.items()}
 _CONFIG_FIELDS = ("protocol", "phi", "odb", "pde", "phi1_ratio", "engine", "out", "format")  # sweep --config keys
 _ROUTER_PORTS = (("router-uu", (2, 0)), ("router-uw", (1, 1)), ("router-ww", (0, 2)))
 
@@ -283,7 +251,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ratio = parse_pi_expr(args.phi1_ratio) if args.phi1_ratio is not None else 0.0
     if len(phis) * len(ods) * len(pdes) > MAX_POINTS:
         raise CliError(f"sweep grid has {len(phis) * len(ods) * len(pdes)} points; at most {MAX_POINTS} are allowed", USAGE_ERROR)
-    if ratio != 0.0 and not PROTOCOL_TABLE[protocol].detunable:
+    if ratio != 0.0 and "phi1" not in PROTOCOL_TABLE[protocol].args:
         raise CliError(f"protocol {protocol!r} has no detuned variant; use --phi1-ratio 0", USAGE_ERROR)
     _check_operating_point(phis + [ratio * phi for phi in phis], ods, pdes)
     rows = (
@@ -342,7 +310,7 @@ def _parse_od_range(text: str) -> list[float]:
 
 
 def cmd_opt_phase(args: argparse.Namespace) -> int:
-    name = PROTOCOL_TABLE[args.protocol or "bm"].opt_name
+    name = PROTOCOL_TABLE[args.protocol or "bm"].name
     odb = args.odb if args.odb is not None else "60:2000:20"
     ods = _parse_od_range(odb) if ":" in odb else _parse_float_list(odb)
     pde = _parse_float(args.pde) if args.pde is not None else 1.0
@@ -355,10 +323,10 @@ def cmd_opt_phase(args: argparse.Namespace) -> int:
             fh.write(",".join((_fmt(r.od_b), _fmt(r.phi_opt), _fmt(r.p_opt))) + "\n")
         finite = [r for r in results if not math.isinf(r.od_b)]
         finite_ods = [r.od_b for r in finite]
-        infid, _ = analytics.loglog_fit(finite_ods, [1.0 - r.p_opt for r in finite])
-        gap, _ = analytics.loglog_fit(finite_ods, [math.pi - r.phi_opt for r in finite])
-        fh.write(f"# infidelity_exponent = {_fmt(infid)}\n")
-        fh.write(f"# phase_gap_exponent = {_fmt(gap)}\n")
+        for label, ys in (("infidelity", [1.0 - r.p_opt for r in finite]), ("phase_gap", [math.pi - r.phi_opt for r in finite])):
+            slope, _ = analytics.loglog_fit(finite_ods, ys)
+            if not math.isnan(slope):  # a fit needs two distinct finite od_b
+                fh.write(f"# {label}_exponent = {_fmt(slope)}\n")
 
     return _write_output(args.out, emit)
 
@@ -442,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("opt-phase", help="optimal phase versus optical depth")
     opt.add_argument("--protocol", choices=OPT_PROTOCOLS, help="protocol (default bm)")
-    opt.add_argument("--odb", help="comma list or log-spaced start:stop:points (default 60:2000:20)")
+    opt.add_argument("--odb", help="comma list or log-spaced start:stop:points (default 60:2000:20); the exponent footer is printed only with two distinct finite od_b")
     opt.add_argument("--pde", help="detection efficiency (default 1)")
     opt.add_argument("--out", help="output path (default stdout)")
     opt.set_defaults(func=cmd_opt_phase)

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlrouter import cli, protocols
-from nlrouter.cli import CliError, main, parse_phi_spec, parse_pi_expr
+from nlrouter import analytics, cli, protocols
+from nlrouter.cli import CliError, build_parser, main, parse_phi_spec, parse_pi_expr
 
 
 def run_cli(capsys, *argv):
@@ -204,10 +204,42 @@ class TestOtherCommands:
         assert any(l.startswith("# infidelity_exponent") for l in lines)
         assert any(l.startswith("# phase_gap_exponent") for l in lines)
 
+    @pytest.mark.parametrize(
+        "odb, rows",
+        [
+            ("100", ["100,2.45588821097,0.933956846664"]),
+            ("inf", ["inf,3.14159265323,1"]),
+            ("60,60", ["60,2.33121300513,0.900989685518"] * 2),
+            ("100,inf", ["100,2.45588821097,0.933956846664", "inf,3.14159265323,1"]),
+        ],
+    )
+    def test_opt_phase_without_two_distinct_finite_depths_prints_no_exponent(self, capsys, odb, rows):
+        code, out, err = run_cli(capsys, "opt-phase", "--odb", odb)
+        assert (code, err) == (0, "")
+        assert out == "\n".join(["od_b,phi_opt,p_opt"] + rows) + "\n"
+
     def test_selftest(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
         assert "selftest ok" in out
+
+
+class TestProtocolTable:
+    def test_the_cli_indexes_the_library_table(self):
+        sweep = build_parser()._subparsers._group_actions[0].choices["sweep"]
+        choices = next(a.choices for a in sweep._actions if a.dest == "protocol")
+        assert tuple(choices) == tuple(p.alias for p in analytics.PROTOCOLS)
+        for p in analytics.PROTOCOLS:
+            assert cli.PROTOCOL_TABLE[p.alias] is p
+            assert cli._FORMULA[p.alias] is p.formula
+
+    def test_the_optimiser_takes_each_protocol_with_a_detection_efficiency(self):
+        names = {"bell_measurement", "evl_bell_measurement", "ghz", "cnot", "factorization"}
+        assert {p.name for p in analytics.PROTOCOLS} == names | {"router"}
+        for name in names:
+            assert analytics.find_optimal_phase(name, 100.0).protocol == name
+        with pytest.raises(ValueError, match="unknown protocol 'router'"):
+            analytics.find_optimal_phase("router", 100.0)
 
 
 class TestExitCodes:
