@@ -20,6 +20,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Text
 from . import analytics
 from .rydberg import _reachable, loss_from_phase
 
+__all__ = ["main"]
 USAGE_ERROR, NUMERICAL_ERROR, IO_ERROR = 1, 2, 3
 MAX_POINTS = 1_000_000  # per range and per sweep grid, checked before the grid is built
 

@@ -44,7 +44,7 @@ photon grows a single and a pair sink.  The polarizing beam splitter, the
 first two refuse an unpolarized one too, and the medium accepts it.  The
 beam splitters, loss and the medium refuse a target or sink submode that is
 no source yet holds a photon, as the norm would drift (``_isometric``); the
-rotation's basis rule covers it, and ``_apply_linear_map`` has no such rule.
+rotation's basis rule covers it.
 """
 
 from __future__ import annotations
@@ -177,13 +177,6 @@ class FockState:
             for occ_b, amp_b in other.terms.items():
                 terms[occ_a + occ_b] = amp_a * amp_b
         return FockState(modes, terms)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = []
-        for occ, amp in sorted(self.terms.items()):
-            ket = ",".join(f"{n}:{m.label()}" for n, m in zip(occ, self.modes) if n)
-            parts.append(f"({amp:.4g})|{ket or 'vac'}>")
-        return " + ".join(parts) or "0"
 
 
 # ------------------------------------------------------ layouts and tapes
@@ -388,17 +381,6 @@ def _linear(state: FockState, tape: Optional[_LinearTape], coeffs: Optional[tupl
         else:
             out[step[0]] += amp
     return _replayed(tape.out_sig, out)
-
-
-def _apply_linear_map(state: FockState, mapping: Mapping[ModeId, Sequence[tuple[ModeId, complex]]]) -> FockState:
-    """Apply a (partial-isometry) linear map on creation operators.
-
-    Each input mode operator is replaced by the given combination of output
-    operators; occupation factorials are handled so normalized kets map to
-    normalized kets whenever the single-photon matrix is an isometry.
-    """
-    tape = _layout(_front, state._packed(), tuple((m, tuple(t for t, _ in outs)) for m, outs in mapping.items()))
-    return _linear(state, tape, tuple(c for outs in mapping.values() for _, c in outs))
 
 
 def _sig_pols(sig: _Signature, spatial: str) -> list[Optional[str]]:

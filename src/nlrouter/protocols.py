@@ -5,7 +5,7 @@ splitters, polarization optics and the conditional-phase medium wrapped in a
 Mach-Zehnder router that sends single photons to one output port and,
 depending on the conditional phase, photon pairs to the other.  Every run
 returns a full accounting of the outcome probability mass: success, heralded
-failure, false positives and silent loss sum to one.
+failure and false positives, empty outputs among them, sum to one.
 """
 
 from __future__ import annotations
@@ -56,23 +56,22 @@ PATTERN_TOL = 1e-12
 class ProtocolResult:
     """Outcome bookkeeping for one protocol run.
 
-    The four probability buckets are exhaustive and sum to 1:
-    ``p_success`` (correct herald), ``p_heralded_failure`` (run flagged bad),
-    ``p_false_positive`` (wrong herald accepted) and ``p_silent_loss``
-    (photon loss that no herald can see).
+    The three probability buckets are exhaustive and sum to 1:
+    ``p_success`` (correct herald), ``p_heralded_failure`` (run flagged
+    bad) and ``p_false_positive`` (wrong herald accepted, or an empty
+    output behind a clean herald).
     """
 
     protocol: str
     p_success: float
     p_heralded_failure: float
     p_false_positive: float
-    p_silent_loss: float = 0.0
     success_fidelity: Optional[float] = None
     outcomes: list[OutcomeRecord] = field(default_factory=list)
     per_state: dict[str, "ProtocolResult"] = field(default_factory=dict)
 
     def total(self) -> float:
-        return self.p_success + self.p_heralded_failure + self.p_false_positive + self.p_silent_loss
+        return self.p_success + self.p_heralded_failure + self.p_false_positive
 
 
 def bell_state(name: str, mode_a: str = "a", mode_b: str = "b") -> FockState:
@@ -299,9 +298,9 @@ def run_bell_measurement(
     return _bell_measurement("bell_measurement", phi, od_b, p_de, phi1, input_state, ancilla=False)
 
 
-def _two_photon_ancilla(spatial: str = _ANCILLA) -> FockState:
+def _two_photon_ancilla() -> FockState:
     """Two photons bunched in one mode, symmetric over H and V."""
-    mh, mv = ModeId(spatial, "H"), ModeId(spatial, "V")
+    mh, mv = ModeId(_ANCILLA, "H"), ModeId(_ANCILLA, "V")
     s = 1.0 / math.sqrt(2.0)
     return FockState((mh, mv), {(2, 0): complex(s), (0, 2): complex(s)})
 

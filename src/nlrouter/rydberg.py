@@ -21,7 +21,6 @@ __all__ = [
     "DetunedParams",
     "loss_from_phase",
     "detuned_params",
-    "effective_od_with_cavity",
 ]
 
 
@@ -95,32 +94,16 @@ def loss_from_phase(phi: float, od_b: float, branch: str = "lower") -> CirclePoi
     return CirclePoint(phi, eps, tau)
 
 
-def detuned_params(phi: float, od_b: float, phi1: float, branch: str = "lower") -> DetunedParams:
+def detuned_params(phi: float, od_b: float, phi1: float) -> DetunedParams:
     """Operating point where single photons already pick up phase ``phi1``.
 
     Both the single-photon point (at phi1) and the pair point (at
-    phi2 = phi + phi1) must sit on the phase-loss circle; the residual
-    single-photon phase is compensated elsewhere in the interferometer, so
-    only the loss pair (tau1, tau2) and the conditional phase survive.
+    phi2 = phi + phi1) must sit on the lower branch of the phase-loss
+    circle; the residual single-photon phase is compensated elsewhere in
+    the interferometer, so only the loss pair (tau1, tau2) and the
+    conditional phase survive.
     """
-    tau1 = _circle(phi1, od_b, branch)[1]
+    tau1 = _circle(phi1, od_b, "lower")[1]
     phi2 = phi + phi1
-    return DetunedParams(phi1, tau1, phi2, _circle(phi2, od_b, branch)[1])
+    return DetunedParams(phi1, tau1, phi2, _circle(phi2, od_b, "lower")[1])
 
-
-def effective_od_with_cavity(od_total: float, exponent: float = 0.4) -> float:
-    """Cavity-enhancement figure of merit (od_total / 2) ** exponent.
-
-    Quantifies how a moderate-finesse cavity around the medium stretches a
-    given total optical depth; useful for comparing operating regimes, not
-    used by the protocol simulations directly.  A NaN ``od_total``, a
-    non-finite ``exponent`` or a result that overflows raises ValueError.
-    """
-    if not od_total > 0.0:
-        raise ValueError("od_total must be positive")
-    if not math.isfinite(exponent):
-        raise ValueError("exponent must be finite")
-    try:
-        return (od_total / 2.0) ** exponent
-    except OverflowError:
-        raise ValueError(f"(od_total/2)**exponent overflows at od_total={od_total:g}, exponent={exponent:g}") from None

@@ -19,7 +19,6 @@ from nlrouter import fock
 from nlrouter.fock import (
     FockState,
     OutcomeRecord,
-    _apply_linear_map,
     ModeId,
     NonlinearMediumSpec,
     apply_beamsplitter,
@@ -79,6 +78,13 @@ def prune(state, tol=fock.PRUNE_TOL):
 
 def scaled(state, factor):
     return FockState(state.modes, {occ: a * factor for occ, a in state.terms.items()})
+
+
+def linear_map(state, mapping):
+    """Apply the linear map on creation operators that replaces each key of ``mapping`` by its
+    (target, coefficient) combination: the engine's linear layout and tape, with no element's rules."""
+    tape = fock._layout(fock._front, state._packed(), tuple((m, tuple(t for t, _ in outs)) for m, outs in mapping.items()))
+    return fock._linear(state, tape, tuple(c for outs in mapping.values() for _, c in outs))
 
 
 class TestBeamsplitter:
@@ -420,7 +426,7 @@ def test_linear_map_is_bit_identical_to_dense_reference(state, outs_plus, outs_m
     mapping = {ModeId("a", "+"): outs_plus}
     if outs_minus is not None:
         mapping[ModeId("a", "-")] = outs_minus
-    out, ref = _apply_linear_map(state, mapping), dense_linear_map(state, mapping)
+    out, ref = linear_map(state, mapping), dense_linear_map(state, mapping)
     assert out.modes == ref.modes
     assert list(out.terms.items()) == list(ref.terms.items())
 
@@ -620,7 +626,7 @@ def test_linear_map_replay_is_bit_identical_to_dense_reference(state, outs_plus,
         mapping[ModeId("a", "-")] = outs_minus
     other = {m: [(t, c * z) for t, c in outs] for m, outs in mapping.items()}  # same structure
     assert_replay_matches_reference(
-        lambda s: _apply_linear_map(s, mapping), lambda s: _apply_linear_map(s, other),
+        lambda s: linear_map(s, mapping), lambda s: linear_map(s, other),
         lambda s: dense_linear_map(s, mapping), lambda s: dense_linear_map(s, other), state,
     )
 
@@ -922,8 +928,8 @@ _C, _D = ModeId("c", "H"), ModeId("d", "H")
         [lambda s: apply_phase(s, "u", 0.0), lambda s: apply_phase(s, "u", -0.0)],
         [lambda s: apply_loss(s, "u", 0.0), lambda s: apply_loss(s, "u", -0.0)],
         [
-            lambda s: _apply_linear_map(s, {ModeId("u", "H"): [(_C, complex(0.6, 0.0)), (_D, complex(-0.0, 0.8))]}),
-            lambda s: _apply_linear_map(s, {ModeId("u", "H"): [(_C, complex(0.6, -0.0)), (_D, complex(0.0, 0.8))]}),
+            lambda s: linear_map(s, {ModeId("u", "H"): [(_C, complex(0.6, 0.0)), (_D, complex(-0.0, 0.8))]}),
+            lambda s: linear_map(s, {ModeId("u", "H"): [(_C, complex(0.6, -0.0)), (_D, complex(0.0, 0.8))]}),
         ],
     ],
     ids=["phase", "loss", "map"],

@@ -107,10 +107,6 @@ class TestBellMeasurement:
             for n2 in names[i + 1 :]:
                 assert not pattern_sets[n1] & pattern_sets[n2]
 
-    def test_no_silent_loss(self):
-        r = run_bell_measurement(1.0, 20.0, 0.9)
-        assert r.p_silent_loss == 0.0
-
     def test_unknown_input(self):
         with pytest.raises(ValueError, match="unknown input state"):
             run_bell_measurement(1.0, input_state="banana")
@@ -118,7 +114,7 @@ class TestBellMeasurement:
     @pytest.mark.parametrize("run", [run_bell_measurement, run_evl_bell_measurement])
     def test_one_input_state_is_its_per_state_result(self, run):
         def bits(r):
-            return [p.hex() for p in (r.p_success, r.p_heralded_failure, r.p_false_positive, r.p_silent_loss)], [
+            return [p.hex() for p in (r.p_success, r.p_heralded_failure, r.p_false_positive)], [
                 (o.pattern, o.probability.hex(), o.classification) for o in r.outcomes
             ]
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from nlrouter.rydberg import CirclePoint, DetunedParams, detuned_params, effective_od_with_cavity, loss_from_phase
+from nlrouter.rydberg import CirclePoint, DetunedParams, detuned_params, loss_from_phase
 
 TOL = 1e-12
 
@@ -66,18 +66,12 @@ def test_invalid_inputs():
         (lambda: detuned_params(1.0, math.nan, 0.0), "od_b must be positive"),
         (lambda: detuned_params(math.nan, math.inf, 0.0), "phi must not be NaN"),
         (lambda: detuned_params(1.0, 30.0, math.nan), "phi must not be NaN"),
-        (lambda: effective_od_with_cavity(math.nan), "od_total must be positive"),
-        (lambda: effective_od_with_cavity(10.0, math.nan), "exponent must be finite"),
-        (lambda: effective_od_with_cavity(10.0, math.inf), "exponent must be finite"),
         (lambda: loss_from_phase(1.0, 1e308), "od_b=1e.308 too large"),
         (lambda: loss_from_phase(0.0, 5.37e154, "upper"), "too large"),
         (lambda: detuned_params(1.0, 1e308, 0.1), "too large"),
-        (lambda: effective_od_with_cavity(10.0, 1000.0), "overflows"),
-        (lambda: effective_od_with_cavity(1e308, 2.0), "overflows"),
     ],
     ids=["circle-od_b", "circle-phi", "circle-phi-lossless", "detuned-od_b", "detuned-phi", "detuned-phi1",
-         "cavity-od_total", "cavity-exponent", "cavity-exponent-inf", "circle-od_b-overflow",
-         "circle-od_b-overflow-upper", "detuned-od_b-overflow", "cavity-overflow", "cavity-od_total-overflow"],
+         "circle-od_b-overflow", "circle-od_b-overflow-upper", "detuned-od_b-overflow"],
 )
 def test_nan_is_refused(call, message):
     # a NaN od_b used to slip past `od_b <= 0` and give a NaN record, and a finite
@@ -146,9 +140,3 @@ def test_detuned_resonant_limit_has_lossless_singles():
     assert d.tau1 == 0.0
     assert d.tau2 > 0.0
 
-
-def test_cavity_figure_of_merit():
-    assert abs(effective_od_with_cavity(2.0) - 1.0) < TOL
-    assert effective_od_with_cavity(200.0) == (100.0) ** 0.4
-    with pytest.raises(ValueError):
-        effective_od_with_cavity(0.0)
