@@ -245,8 +245,6 @@ def fit_scaling_exponent(
     n_points: int = 20,
 ) -> ScalingFit:
     """Fit 1 - p_opt(od_b) ~ prefactor * od_b**exponent on a log-spaced grid."""
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
     ods = log_grid(od_min, od_max, n_points)
     slope, intercept = loglog_fit(ods, [1.0 - find_optimal_phase(protocol, od).p_opt for od in ods])
     if math.isnan(slope):

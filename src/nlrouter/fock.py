@@ -12,10 +12,10 @@ and its order (and the insertion order of every term dict) as it is.  Work
 that repeats is memoised instead, in one table keyed by structure and input
 signature, never by coefficients.
 
-Inside the engine a state is a signature, its ordered occupation keys
-packed once as ``bytes`` (one byte per mode: at most 255 photons) and
-interned, and a list of amplitudes; ``FockState.terms``, a read-only view,
-builds its dict only when something reads it.  An element call makes one
+Every state is packed when it is built: a signature, its ordered occupation
+keys as ``bytes`` (one byte per mode: at most 255 photons), interned, and a
+list of amplitudes; ``FockState.terms``, a read-only view, builds its dict
+only when something reads it.  An element call makes one
 table entry: on the first sight of an (element structure, input signature)
 pair the element records a tape of its term loop, in the loop's order: per
 input slot the output slots it adds to and the plan monomial that scales each
@@ -114,8 +114,8 @@ class FockState:
 
     ``terms`` is a read-only view that maps occupation tuples (aligned with
     ``modes``) to amplitudes; an element's output builds it on first read.
-    A state never changes: the elements and ``measure_all`` return new
-    states, and the registry only ever grows.
+    A state is packed when it is built and never changes: the elements and
+    ``measure_all`` return new states, and the registry only ever grows.
     """
 
     __slots__ = ("modes", "_terms", "_sig", "_amps")
@@ -123,8 +123,17 @@ class FockState:
     def __init__(self, modes: Sequence[ModeId] = (), terms: Optional[Mapping[tuple, complex]] = None):
         self.modes: tuple[ModeId, ...] = tuple(modes)
         self._terms: Optional[Mapping[tuple, complex]] = MappingProxyType(dict(terms or {}))
-        self._sig: Optional[_Signature] = None
-        self._amps: Optional[list[complex]] = None
+        terms = self._terms
+        try:
+            packed = b"".join(map(bytes, terms))
+        except (TypeError, ValueError):
+            packed = None
+        if packed is None or len(packed) != len(self.modes) * len(terms):
+            raise ValueError("each occupation must hold one count in 0..255 per registry mode")
+        if len(set(self.modes)) != len(self.modes):
+            raise ValueError(f"the registry lists a mode twice: {[m.label() for m in self.modes]}")
+        self._sig: _Signature = _layout(_Signature, self.modes, packed, len(terms))
+        self._amps: list[complex] = list(terms.values())
 
     @classmethod
     def _of(cls, sig: _Signature, amps: list[complex]) -> "FockState":
@@ -140,23 +149,6 @@ class FockState:
 
     def __reduce__(self):
         return FockState, (self.modes, dict(self.terms))  # a view does not pickle
-
-    def _packed(self) -> _Signature:
-        """The signature of ``terms``, whose amplitudes are then ``_amps``."""
-        if self._sig is None:
-            terms = self._terms
-            try:
-                packed = b"".join(map(bytes, terms))
-            except (TypeError, ValueError):
-                packed = None
-            if packed is None or len(packed) != len(self.modes) * len(terms):
-                raise ValueError("each occupation must hold one count in 0..255 per registry mode")
-            if len(set(self.modes)) != len(self.modes):
-                raise ValueError(f"the registry lists a mode twice: {[m.label() for m in self.modes]}")
-            self._amps = list(terms.values())
-            # published last: another thread that sees the signature also sees its amplitudes
-            self._sig = _layout(_Signature, self.modes, packed, len(terms))
-        return self._sig
 
     # ---------------------------------------------------------------- basics
 
@@ -420,7 +412,7 @@ def apply_beamsplitter(state: FockState, in1: Optional[str], in2: Optional[str],
     transformed independently.  Two equal inputs or two equal outputs raise
     ValueError, as does an output submode holding a photon that is no input.
     """
-    return _linear(state, _layout(_beamsplitter_front, state._packed(), in1, in2, out1, out2))
+    return _linear(state, _layout(_beamsplitter_front, state._sig, in1, in2, out1, out2))
 
 
 def _phase_front(sig: _Signature, spatial: str) -> Optional[_LinearTape]:
@@ -432,7 +424,7 @@ def apply_phase(state: FockState, spatial: str, phase: float) -> FockState:
     if not math.isfinite(phase):
         raise ValueError("phase must be finite")
     c = complex(math.cos(phase), math.sin(phase))
-    tape = _layout(_phase_front, state._packed(), spatial)
+    tape = _layout(_phase_front, state._sig, spatial)
     return state if tape is None else _linear(state, tape, (c,) * tape.count)  # one per source mode
 
 
@@ -456,7 +448,7 @@ def apply_pbs(state: FockState, in1: str, in2: str, out1: str, out2: str) -> Foc
     photon in either input raises ValueError, as do two equal inputs or two
     equal outputs, and an output submode holding a photon that is no input.
     """
-    return _linear(state, _layout(_pbs_front, state._packed(), in1, in2, out1, out2))
+    return _linear(state, _layout(_pbs_front, state._sig, in1, in2, out1, out2))
 
 
 def _rotation_front(sig: _Signature, spatial: str) -> Optional[_LinearTape]:
@@ -479,7 +471,7 @@ def apply_rotation_45(state: FockState, spatial: str) -> FockState:
     then its inverse is the identity.  A mode whose photons mix the two bases,
     or include an unpolarized one, raises ValueError.
     """
-    return _linear(state, _layout(_rotation_front, state._packed(), spatial))
+    return _linear(state, _layout(_rotation_front, state._sig, spatial))
 
 
 def _loss_front(sig: _Signature, spatial: str, tag: str) -> Optional[_LinearTape]:
@@ -494,7 +486,7 @@ def apply_loss(state: FockState, spatial: str, transmission: float, tag: str = "
         raise ValueError("transmission must lie in [0, 1]")
     t = math.sqrt(transmission)
     r = math.sqrt(1.0 - transmission)
-    tape = _layout(_loss_front, state._packed(), spatial, tag)
+    tape = _layout(_loss_front, state._sig, spatial, tag)
     return state if tape is None else _linear(state, tape, (t + 0.0j, r + 0.0j) * tape.count)
 
 
@@ -616,7 +608,7 @@ def apply_nonlinear_medium(state: FockState, arm: str, spec: NonlinearMediumSpec
     # a branch's amplitude is the term's times its factors, left to right
     factors = ((), (t1, e1), (r1,), (t1, t2, e12), (k,), (k, w), (r1, w), ((t1 * e1) ** 2,), (t1, e1, r1), (r1, r1))
 
-    tape = _layout(_medium_tape, state._packed(), arm, spec.interaction_basis, spec.pair_coupling)
+    tape = _layout(_medium_tape, state._sig, arm, spec.interaction_basis, spec.pair_coupling)
     if tape is None:
         return state
     out_sig, steps = tape
@@ -696,7 +688,7 @@ def measure_all(state: FockState, detected: Sequence[ModeId], keep_posterior: bo
     with the detected modes projected out.  A mode listed twice in
     ``detected`` raises ValueError.
     """
-    tape = _layout(_measure_tape, state._packed(), tuple(detected), keep_posterior)
+    tape = _layout(_measure_tape, state._sig, tuple(detected), keep_posterior)
     amps = state._amps
     records = []
     for pattern, slots, post_sig in tape:

@@ -167,14 +167,12 @@ _ANCILLA = "anc"
 
 def _run_bm_circuit(
     name: str,
-    phi: float,
-    od_b: float,
+    medium: NonlinearMediumSpec,
     p_de: float,
     phi1: float,
     ancilla: bool = False,
 ) -> list[OutcomeRecord]:
     """Interfere a Bell pair, route both halves, detect in the H/V basis."""
-    medium = _medium(phi, od_b, phi1, "diagonal", "same_polarization")
     state = bell_state(name)
     if ancilla:
         state = state.tensor(_two_photon_ancilla())
@@ -250,8 +248,9 @@ def _bell_measurement(
     """
     if input_state != "average" and input_state not in BELL_STATES:
         raise ValueError(f"unknown input state {input_state!r}")
+    medium = _medium(phi, od_b, phi1, "diagonal", "same_polarization")
     witness = 2 if ancilla else 0
-    records = {s: _run_bm_circuit(s, phi, od_b, p_de, phi1, ancilla) for s in BELL_STATES}
+    records = {s: _run_bm_circuit(s, medium, p_de, phi1, ancilla) for s in BELL_STATES}
     dists: dict[str, dict[tuple, float]] = {}
     for s, recs in records.items():
         dist = dists[s] = {}

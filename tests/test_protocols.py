@@ -132,6 +132,19 @@ class TestBellMeasurement:
         with pytest.raises(ValueError, match="unknown input state 'banana'"):
             run(1.0, input_state="banana")
 
+    @pytest.mark.parametrize("run", [run_bell_measurement, run_evl_bell_measurement])
+    def test_the_four_bell_circuits_share_one_medium(self, run, monkeypatch):
+        build = protocols.detuned_params
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(protocols, "detuned_params", counted)
+        run(PI / 3, 30.0, 0.98)
+        assert calls == [(PI / 3, 30.0, 0.0)]
+
 
 class TestAncillaAssistedBellMeasurement:
     @pytest.mark.parametrize("phi", [0.0, PI / 3, 2.2, PI])
