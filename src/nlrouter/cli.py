@@ -90,8 +90,12 @@ def parse_phi_spec(text: str) -> list[float]:
     if len(parts) != 3:
         raise CliError(f"range must be start:stop:points, got {text!r}", USAGE_ERROR)
     start, stop = parse_pi_expr(parts[0]), parse_pi_expr(parts[1])
-    n = _parse_count(parts[2], "range")
-    return [start + (stop - start) * i / (n - 1) for i in range(n)]
+    return _linear_grid(start, stop, _parse_count(parts[2], "range"))
+
+
+def _linear_grid(start: float, stop: float, n: int) -> list[float]:
+    """``n >= 2`` evenly spaced points from ``start`` to ``stop``, both ends exact."""
+    return [start + (stop - start) * i / (n - 1) for i in range(n - 1)] + [stop]
 
 
 def _parse_count(text: str, what: str) -> int:
@@ -223,7 +227,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 cfg = json.load(fh)
         except OSError as exc:
             raise CliError(f"cannot read config: {exc}", IO_ERROR) from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer past Python's digit limit
             raise CliError(f"bad config file: {exc}", USAGE_ERROR) from None
         if not isinstance(cfg, dict):
             raise CliError("config file must hold a JSON object", USAGE_ERROR)
@@ -283,10 +287,9 @@ def cmd_circle(args: argparse.Namespace) -> int:
     def emit(fh: TextIO) -> None:
         fh.write("phi,od_b,branch,eps,tau\n")
         for od in ods:
-            radius = od / 4.0
+            phis = _linear_grid(-od / 4.0, od / 4.0, points)
             for branch in ("lower", "upper"):
-                for i in range(points):
-                    phi = -radius + 2.0 * radius * i / (points - 1)
+                for phi in phis:
                     cp = loss_from_phase(phi, od, branch)
                     fh.write(
                         ",".join((_fmt(phi), _fmt(od), branch, _fmt(cp.eps), _fmt(cp.tau))) + "\n"

@@ -151,10 +151,9 @@ def run_router(phi: float, od_b: float = math.inf, n_photons: int = 2, phi1: flo
     state = apply_router(state, "a", "u", "w", medium, phi1)
     single, pair = ModeId("u", "+"), ModeId("w", "+")
     probs: dict[tuple[int, int], float] = {}
-    for rec in measure_all(state, [single, pair]):
+    for rec in measure_all(state, [single, pair]):  # one record per pattern, and each pattern is one key
         counts = dict(rec.pattern)
-        key = (counts.get(single, 0), counts.get(pair, 0))
-        probs[key] = probs.get(key, 0.0) + rec.probability
+        probs[counts.get(single, 0), counts.get(pair, 0)] = rec.probability
     return probs
 
 
@@ -203,7 +202,7 @@ def _decision_table(
     dists: dict[str, dict[tuple, float]],
     ancilla: bool,
 ) -> dict[tuple, str]:
-    """Map each two-click detection pattern to a Bell-state verdict.
+    """Map each detection pattern in ``dists`` (all of them two-click) to a Bell-state verdict.
 
     A photon pair emerging at either single-photon router port is read as the
     Bell state whose pair component never splits (verdict ``phi_minus``); with
@@ -216,8 +215,6 @@ def _decision_table(
         patterns.update(p for p, prob in dist.items() if prob > PATTERN_TOL)
     table: dict[tuple, str] = {}
     for pattern in patterns:
-        if sum(n for _, n in pattern) != 2:
-            continue
         ports = {m.spatial for m, _ in pattern}
         if len(ports) == 1 and ports <= _SINGLE_PORTS:
             pols = {m.pol for m, _ in pattern}
@@ -255,8 +252,8 @@ def _bell_measurement(
     for s, recs in records.items():
         dist = dists[s] = {}
         for r in recs:
-            main, _, anc_clicks = _split_ancilla(r.pattern)
-            if anc_clicks == witness:
+            main, main_clicks, anc_clicks = _split_ancilla(r.pattern)
+            if main_clicks == 2 and anc_clicks == witness:
                 dist[main] = dist.get(main, 0.0) + r.probability
     table = _decision_table(dists, ancilla)
     results: dict[str, ProtocolResult] = {}
@@ -400,8 +397,6 @@ def run_ghz(
         guard_modes = [m for m in post.modes if m.spatial == guard_sp and not m.sink]
         for sub in measure_all(post, guard_modes, keep_posterior=True):
             prob = rec.probability * sub.probability
-            if prob <= 0.0:
-                continue
             if sub.clicks():
                 herald_fail += prob
                 outcomes.append(OutcomeRecord(rec.pattern + sub.pattern, prob, "heralded_failure"))

@@ -143,6 +143,10 @@ class TestScalingFits:
         with pytest.raises(ValueError, match="at least 2 points"):
             fit_scaling_exponent("ghz", n_points=1)
 
+    def test_a_grid_at_one_optical_depth_has_no_fit(self):
+        with pytest.raises(ValueError, match="^need two distinct optical depths with nonzero failure probability$"):
+            fit_scaling_exponent("bell_measurement", 60.0, 60.0, 3)
+
     @pytest.mark.parametrize("start, stop, n", [(60.0, 2000.0, 20), (2000.0, 60.0, 7), (1e-3, 7.5, 2), (15.0, 300.0, 4096)])
     def test_log_grid_starts_and_stops_on_its_bounds(self, start, stop, n):
         # 60 * (2000 / 60) ** 1.0 is 2000.0000000000002: the last point is stop itself

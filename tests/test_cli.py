@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -42,6 +43,11 @@ class TestAngleGrammar:
         assert len(grid) == 5
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(math.pi)
+
+    def test_range_ends_exactly_on_its_stop(self):
+        # -1 + 1.3 * 9 / 9 rounds to 0.30000000000000004
+        grid = parse_phi_spec("-1:0.3:10")
+        assert (len(grid), grid[0], grid[-1]) == (10, -1.0, 0.3)
 
     @pytest.mark.parametrize("text", ["", "pi:pi", "0:pi:1", "0:pi:x", "two*pi"])
     def test_bad_inputs(self, text):
@@ -196,6 +202,14 @@ class TestOtherCommands:
         assert at_zero["lower"] == pytest.approx(0.0, abs=1e-12)
         assert at_zero["upper"] == pytest.approx(8.0, abs=1e-12)
 
+    def test_circle_reaches_its_last_point(self, capsys):
+        # -r + 2r * 780 / 780 rounds above r = od_b/4 here, which the circle refused as unreachable
+        od = 49.631642914046886
+        code, out, err = run_cli(capsys, "circle", "--odb", repr(od), "--points", "781")
+        assert (code, err) == (0, "")
+        lower = [r for r in out.splitlines()[1:] if r.split(",")[2] == "lower"]
+        assert len(lower) == 781 and lower[-1].split(",")[0] == cli._fmt(od / 4.0)
+
     def test_opt_phase_footer(self, capsys):
         code, out, _ = run_cli(capsys, "opt-phase", "--protocol", "ghz", "--odb", "60:500:4")
         assert code == 0
@@ -222,6 +236,13 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
         assert "selftest ok" in out
+
+    def test_selftest_fails_on_a_wrong_formula(self, capsys, monkeypatch):
+        spec = cli.PROTOCOL_TABLE["ghz"]
+        monkeypatch.setitem(cli.PROTOCOL_TABLE, "ghz", dataclasses.replace(spec, formula=lambda *a: spec.formula(*a) + 1e-9))
+        code, out, err = run_cli(capsys, "selftest")
+        assert (code, err) == (2, "selftest FAILED\n")
+        assert "selftest ok" not in out
 
 
 class TestProtocolTable:
@@ -263,6 +284,33 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sweep", "--protocol", "evl", "--phi", "pi/3", "--phi1-ratio", "0.1")
         assert code == 1
         assert "no detuned variant" in err
+
+    @pytest.mark.parametrize(
+        "content, code, message",
+        [
+            (None, 3, "cannot read config: [Errno 2] No such file or directory"),
+            (b"{", 1, "bad config file: Expecting property name enclosed in double quotes"),
+            (b"\xff{}", 1, "bad config file: 'utf-8' codec can't decode byte 0xff in position 0"),
+            (b'{"odb": ' + b"9" * 5000 + b"}", 1, "bad config file: Exceeds the limit (4300 digits) for integer string conversion"),
+            (b"[]", 1, "config file must hold a JSON object"),
+            (b'{"phi": true}', 1, "config field 'phi' must be a string or a number"),
+            (b'{"odb": [30]}', 1, "config field 'odb' must be a string or a number"),
+            (b'{"protocol": "warp"}', 1, "unknown protocol 'warp'; choose from bm, evl, ghz, cnot, factorization, router"),
+            (b'{"engine": "x"}', 1, "unknown engine 'x'"),
+            (b'{"format": "xml"}', 1, "unknown format 'xml'"),
+        ],
+        ids=["missing", "malformed", "not-utf-8", "long-integer", "array", "true", "list", "protocol", "engine", "format"],
+    )
+    def test_a_bad_config_file_is_refused(self, tmp_path, capsys, content, code, message):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        got, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert (got, out) == (code, "")
+        assert err.startswith(f"nlrouter: error: {message}") and err.count("\n") == 1
+
+    def test_a_one_point_circle_is_refused(self, capsys):
+        assert run_cli(capsys, "circle", "--points", "1") == (1, "", "nlrouter: error: --points must be >= 2\n")
 
     def test_numeric_config_value_is_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -254,6 +254,10 @@ class TestNonlinearMedium:
         with pytest.raises(ValueError, match=match):
             NonlinearMediumSpec(**{"phi1": 0.25, "tau1": 0.15, "phi2": 0.9, "tau2": 0.3, field: value})
 
+    def test_an_arm_sign_other_than_plus_or_minus_one_is_refused(self):
+        with pytest.raises(ValueError, match=r"^arm phase sign must be \+1 or -1$"):
+            apply_nonlinear_medium(one_photon("f", "+"), "f", MEDIUM, sign=0)
+
     def test_three_photons_unsupported(self):
         s = FockState.from_occupations({ModeId("f", "+"): 3})
         with pytest.raises(ValueError, match="at most 2"):
