@@ -46,9 +46,9 @@ def _interference_terms(phi: float, od_b: float, phi1: float) -> tuple[float, fl
 
     Returns (1 - tau1, sqrt((1-tau1)(1-tau2)) * cos(phi), (1-tau1)(1-tau2) * sin^2(phi), 1 - tau2).
     """
-    d = detuned_params(phi, od_b, phi1)
-    t1sq = 1.0 - d.tau1
-    t2sq = 1.0 - d.tau2
+    _, tau1, _, tau2 = detuned_params(phi, od_b, phi1)
+    t1sq = 1.0 - tau1
+    t2sq = 1.0 - tau2
     tpair = math.sqrt(t1sq * t2sq)
     return t1sq, tpair * math.cos(phi), t1sq * t2sq * math.sin(phi) ** 2, t2sq
 
@@ -75,7 +75,12 @@ def p_bell_measurement(phi: float, od_b: float = math.inf, p_de: float = 1.0, ph
     """
     if not 0.0 <= p_de <= 1.0:
         raise ValueError("p_de must lie in [0, 1]")
-    t1sq, x, _, t2sq = _interference_terms(phi, od_b, phi1)
+    return _bm(_interference_terms(phi, od_b, phi1), p_de)
+
+
+def _bm(terms: tuple[float, float, float, float], p_de: float) -> float:
+    """:func:`p_bell_measurement` from one router's interference terms."""
+    t1sq, x, _, t2sq = terms
     b = 0.5 * (x + t1sq)
     p_surv_pair = 0.5 * (t1sq * t1sq + t1sq * t2sq)
     p_anti = t1sq * t1sq
@@ -101,14 +106,22 @@ def p_ghz(phi: float, od_b: float = math.inf, p_de: float = 1.0, phi1: float = 0
     """Success probability of fusing two photonic qubits into a GHZ state."""
     if not 0.0 <= p_de <= 1.0:
         raise ValueError("p_de must lie in [0, 1]")
-    t1sq, x, _, _ = _interference_terms(phi, od_b, phi1)
+    return _ghz(_interference_terms(phi, od_b, phi1), p_de)
+
+
+def _ghz(terms: tuple[float, float, float, float], p_de: float) -> float:
+    """:func:`p_ghz` from one router's interference terms."""
+    t1sq, x, _, _ = terms
     a = x - t1sq
     return p_de * (0.5 * t1sq * t1sq + a * a / 8.0)
 
 
 def p_cnot(phi: float, od_b: float = math.inf, p_de: float = 1.0, phi1: float = 0.0) -> float:
     """Heralded CNOT from two GHZ fusions and three Bell measurements."""
-    return p_ghz(phi, od_b, p_de, phi1) ** 2 * p_bell_measurement(phi, od_b, p_de, phi1) ** 3
+    if not 0.0 <= p_de <= 1.0:
+        raise ValueError("p_de must lie in [0, 1]")
+    terms = _interference_terms(phi, od_b, phi1)  # one router: both fusions and measurements share it
+    return _ghz(terms, p_de) ** 2 * _bm(terms, p_de) ** 3
 
 
 def p_factorization(phi: float, od_b: float = math.inf, p_de: float = 1.0, phi1: float = 0.0) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TextIO
 
@@ -135,8 +136,11 @@ def _check_operating_point(phis: Sequence[float], ods: Sequence[float], pdes: Se
         raise CliError("p_de must lie in [0, 1]", USAGE_ERROR)
 
 
+_NUMBER = "%.12g"  # every number the CLI writes
+
+
 def _fmt(x: float) -> str:
-    return "%.12g" % x
+    return _NUMBER % x
 
 
 # --------------------------------------------------------------------- sweep
@@ -194,11 +198,19 @@ def _render_sweep(rows: Iterable[dict], engine: str, fmt: str) -> str:
     header += ["probability_sim", "abs_delta", "status"] if both else ["status"]
     as_csv = fmt == "csv"
     out: list = [",".join(header)] if as_csv else []
+    # An ok row has a value in every cell: one format string writes its line.
+    ok_line = ",".join("%s" if k in ("protocol", "engine", "status") else _NUMBER for k in header)
+    cells = operator.itemgetter(*header)
     max_delta = 0.0
     for r in rows:
         if both and r["abs_delta"] is not None:
             max_delta = max(max_delta, r["abs_delta"])
-        out.append(",".join([_cell(r[k]) for k in header]) if as_csv else {k: _jsonf(v) for k, v in r.items()})
+        if not as_csv:
+            out.append({k: _jsonf(v) for k, v in r.items()})
+        elif r["status"] == "ok":
+            out.append(ok_line % cells(r))
+        else:
+            out.append(",".join([_cell(r[k]) for k in header]))
     if not as_csv:
         doc: object = out if not both else {"records": out, "max_abs_delta": _jsonf(max_delta)}
         return json.dumps(doc, indent=2) + "\n"
@@ -371,7 +383,11 @@ def _write_output(path: Optional[str], emit: Callable[[TextIO], None]) -> int:
         emit(sys.stdout)
         return 0
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL byte
+        raise CliError(f"cannot write {path}: {exc}", IO_ERROR) from None
+    try:
+        with fh:
             emit(fh)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", IO_ERROR) from None

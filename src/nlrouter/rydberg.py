@@ -101,9 +101,16 @@ def detuned_params(phi: float, od_b: float, phi1: float) -> DetunedParams:
     phi2 = phi + phi1) must sit on the lower branch of the phase-loss
     circle; the residual single-photon phase is compensated elsewhere in
     the interferometer, so only the loss pair (tau1, tau2) and the
-    conditional phase survive.
+    conditional phase survive.  ``phi1 = 0`` gives tau1 exactly 0.0.
     """
-    tau1 = _circle(phi1, od_b, "lower")[1]
     phi2 = phi + phi1
+    if phi1 == 0.0 and phi2 == phi2:
+        # The circle's origin (r = od_b/4): sqrt(fl(r*r)) == r, so eps is 0,
+        # or tiny where r*r underflows, and tau1 rounds to +0.0 either way.
+        # The phi2 call raises every refusal of this point, in the same order;
+        # a NaN phi2 takes the long way, where an overflowing od_b is refused first.
+        tau1 = 0.0
+    else:
+        tau1 = _circle(phi1, od_b, "lower")[1]
     return DetunedParams(phi1, tau1, phi2, _circle(phi2, od_b, "lower")[1])
 

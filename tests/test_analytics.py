@@ -6,9 +6,11 @@ at well-understood limits and frozen here to guard against regressions.
 
 import hashlib
 import math
+import random
 
 import pytest
 
+from nlrouter import analytics
 from nlrouter.analytics import (
     find_optimal_phase,
     fit_scaling_exponent,
@@ -129,6 +131,29 @@ class TestDetectionEfficiencyRange:
     def test_the_interval_ends_are_accepted(self, f):
         assert f(1.0, 30.0, 0.0) == 0.0
         assert f(1.0, 30.0, 1.0) == f(1.0, 30.0)
+
+
+class TestComposedProtocols:
+    def test_cnot_and_factorization_equal_their_parts_bit_for_bit(self):
+        # p_cnot evaluates the router's terms once and reuses them for its five parts
+        rng = random.Random(20261020)
+        for _ in range(2000):
+            od_b = rng.choice((math.inf, rng.uniform(15.0, 3000.0)))
+            phi = rng.uniform(0.0, PI)
+            phi1 = rng.choice((0.0, -0.0, -phi * rng.uniform(0.0, 0.2)))
+            p_de = rng.choice((1.0, 0.0, rng.random()))
+            point = (phi, od_b, p_de, phi1)
+            cnot = p_cnot(*point)
+            assert cnot.hex() == (p_ghz(*point) ** 2 * p_bell_measurement(*point) ** 3).hex(), point
+            assert p_factorization(*point).hex() == (cnot ** 2).hex(), point
+
+    @pytest.mark.parametrize("f", [p_cnot, p_factorization])
+    def test_a_bad_p_de_is_refused_before_any_circle_point(self, f, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analytics, "detuned_params", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"p_de must lie in \[0, 1\]"):
+            f(1.0, 30.0, 1.5)
+        assert calls == []
 
 
 class TestScalingFits:

@@ -183,6 +183,17 @@ class TestSweepOutput:
         assert len(calls) == 100
         assert not target.exists()
 
+    @pytest.mark.parametrize("engine", ["formula", "simulator", "both"])
+    @pytest.mark.parametrize("protocol", ["bm", "router"])
+    def test_a_csv_line_is_its_cells_joined(self, protocol, engine):
+        # an ok row's line comes from one format string, the others' cell by cell
+        points = [cli.SweepPoint(phi, od_b, 0.98, -phi / 11.0) for phi in (0.0, 1e-300, 1.0, math.pi) for od_b in (3.0, 30.0, math.inf)]
+        rows = [r for pt in points for r in cli._sweep_point_rows(protocol, engine, pt)]
+        assert {r["status"] for r in rows} == {"ok", "unreachable"}
+        lines = cli._render_sweep(rows, engine, "csv").split("\n")
+        header = lines[0].split(",")
+        assert lines[1:len(rows) + 1] == [",".join(cli._cell(r[k]) for k in header) for r in rows]
+
     def test_sweep_point_record(self):
         pt = cli.SweepPoint(phi=1.0, od_b=30.0, p_de=0.98, phi1=-0.5)
         assert cli.SweepPoint._fields == ("phi", "od_b", "p_de", "phi1")
@@ -279,6 +290,14 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sweep", "--phi", "pi/3", "--out", str(target))
         assert code == 3
         assert "cannot write" in err
+
+    @pytest.mark.parametrize("via", ["--out", "--config"])
+    def test_a_nul_byte_in_the_output_path_is_an_io_error(self, capsys, tmp_path, via):
+        # open() refuses the path with ValueError, which once exited 2 as a numerical error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"phi": "pi/3", "out": "a\u0000b"}))
+        argv = ["--phi", "pi/3", "--out", "a\0b"] if via == "--out" else ["--config", str(cfg)]
+        assert run_cli(capsys, "sweep", *argv) == (3, "", "nlrouter: error: cannot write a\0b: embedded null byte\n")
 
     def test_detuned_ancilla_protocol_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--protocol", "evl", "--phi", "pi/3", "--phi1-ratio", "0.1")

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from nlrouter.rydberg import CirclePoint, DetunedParams, detuned_params, loss_from_phase
+from nlrouter.rydberg import _MAX_RADIUS, CirclePoint, DetunedParams, _circle, detuned_params, loss_from_phase
 
 TOL = 1e-12
 
@@ -69,9 +69,13 @@ def test_invalid_inputs():
         (lambda: loss_from_phase(1.0, 1e308), "od_b=1e.308 too large"),
         (lambda: loss_from_phase(0.0, 5.37e154, "upper"), "too large"),
         (lambda: detuned_params(1.0, 1e308, 0.1), "too large"),
+        (lambda: detuned_params(1.0, -1.0, 0.0), "od_b must be positive"),
+        (lambda: detuned_params(1.0, 1e308, 0.0), "od_b=1e.308 too large"),
+        (lambda: detuned_params(math.nan, 1e308, 0.0), "too large"),
     ],
     ids=["circle-od_b", "circle-phi", "circle-phi-lossless", "detuned-od_b", "detuned-phi", "detuned-phi1",
-         "circle-od_b-overflow", "circle-od_b-overflow-upper", "detuned-od_b-overflow"],
+         "circle-od_b-overflow", "circle-od_b-overflow-upper", "detuned-od_b-overflow",
+         "resonant-od_b", "resonant-od_b-overflow", "resonant-nan-phi-od_b-overflow"],
 )
 def test_nan_is_refused(call, message):
     # a NaN od_b used to slip past `od_b <= 0` and give a NaN record, and a finite
@@ -140,3 +144,33 @@ def test_detuned_resonant_limit_has_lossless_singles():
     assert d.tau1 == 0.0
     assert d.tau2 > 0.0
 
+
+
+def _two_circle_reference(phi: float, od_b: float, phi1: float) -> DetunedParams:
+    """detuned_params with both circle points computed: the definition the phi1 = 0 shortcut must match."""
+    tau1 = _circle(phi1, od_b, "lower")[1]
+    phi2 = phi + phi1
+    return DetunedParams(phi1, tau1, phi2, _circle(phi2, od_b, "lower")[1])
+
+
+def _outcome(f, *args):
+    """The float.hex of every field, signs of zero included, or the refusal message."""
+    try:
+        return [x.hex() for x in f(*args)]
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_resonant_point_matches_two_circle_points_bit_for_bit():
+    # from subnormal od_b, through od_b near 1e-160 where (od_b/4)^2 underflows,
+    # to the largest finite od_b and the lossless limit
+    ods = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-200, 4e-160, 1e-160, 1e-155, 0.5, 4.0 * math.pi, 30.0, 1e154]
+    ods += [10.0 ** (k / 8.0) for k in range(-323 * 8, 155 * 8)]
+    ods += [4.0 * _MAX_RADIUS, math.nextafter(4.0 * _MAX_RADIUS, math.inf), math.inf]
+    for od_b in ods:
+        for phi in (0.0, -0.0, 1.0, math.pi, od_b / 4.0, -od_b / 8.0, math.nan):
+            for phi1 in (0.0, -0.0):
+                got = _outcome(detuned_params, phi, od_b, phi1)
+                assert got == _outcome(_two_circle_reference, phi, od_b, phi1), (phi, od_b, phi1)
+                if not isinstance(got, str):
+                    assert got[1] == "0x0.0p+0"  # tau1 is +0.0
