@@ -145,7 +145,6 @@ def test_detuned_resonant_limit_has_lossless_singles():
     assert d.tau2 > 0.0
 
 
-
 def _two_circle_reference(phi: float, od_b: float, phi1: float) -> DetunedParams:
     """detuned_params with both circle points computed: the definition the phi1 = 0 shortcut must match."""
     tau1 = _circle(phi1, od_b, "lower")[1]
