@@ -180,13 +180,15 @@ def find_optimal_phase(protocol: str, od_b: float, p_de: float = 1.0) -> Optimal
     hi = math.pi if math.isinf(od_b) else min(math.pi, od_b / 4.0)
     n = 10_000
     best_i, best_v = 0, -1.0
-    for i in range(1, n + 1):
+    for i in range(1, n):
         phi = hi * i / n
         v = f(phi, od_b, p_de)
         if v > best_v:
             best_i, best_v = i, v
+    if f(hi, od_b, p_de) > best_v:  # the last point is hi itself, which hi * n / n can round above
+        best_i = n
     lo_b = hi * max(best_i - 1, 1) / n
-    hi_b = hi * min(best_i + 1, n) / n
+    hi_b = hi if best_i + 1 >= n else hi * (best_i + 1) / n
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo_b, hi_b
     c = b - invphi * (b - a)

@@ -16,7 +16,7 @@ import json
 import math
 import operator
 import sys
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import analytics
 from .rydberg import _reachable, loss_from_phase
@@ -41,6 +41,7 @@ OPT_PROTOCOLS = ("bm", "evl", "ghz")  # the three elementary circuits: opt-phase
 _FORMULA: dict[str, Callable[..., Any]] = {alias: p.formula for alias, p in PROTOCOL_TABLE.items()}
 _CONFIG_FIELDS = ("protocol", "phi", "odb", "pde", "phi1_ratio", "engine", "out", "format")  # sweep --config keys
 _ROUTER_PORTS = (("router-uu", (2, 0)), ("router-uw", (1, 1)), ("router-ww", (0, 2)))
+_POINT = ("phi", "od_b", "p_de", "phi1")  # a sweep point's fields, its row's first columns
 
 
 class CliError(Exception):
@@ -146,71 +147,57 @@ def _fmt(x: float) -> str:
 # --------------------------------------------------------------------- sweep
 
 
-class SweepPoint(NamedTuple):
-    phi: float
-    od_b: float
-    p_de: float
-    phi1: float
-
-
-def _row(pt: SweepPoint, protocol: str, engine: str, formula: Optional[float], sim: Optional[float], status: str) -> dict:
-    """One output record of raw values, keys in JSON order."""
-    row = {
-        "phi": pt.phi,
-        "od_b": pt.od_b,
-        "p_de": pt.p_de,
-        "phi1": pt.phi1,
-        "protocol": protocol,
-        "engine": engine,
-        "probability": sim if engine == "simulator" else formula,
-        "status": status,
-    }
-    if engine == "both":  # both values exist or neither does
-        row["probability_sim"] = sim
-        row["abs_delta"] = None if sim is None else abs(formula - sim)
-    return row
-
-
-def _sweep_point_rows(protocol: str, engine: str, pt: SweepPoint) -> list[dict]:
+def _sweep_rows(protocol: str, engine: str, points: Iterable[tuple]) -> Iterator[tuple]:
+    """Each ``(phi, od_b, p_de, phi1)`` point's rows of raw values in CSV column order."""
     spec = PROTOCOL_TABLE[protocol]
-    args = [getattr(pt, field) for field in spec.args]
-    try:
-        f_val = _FORMULA[protocol](*args) if engine != "simulator" else None
-        s_val = spec.simulate(*args) if engine != "formula" else None
-        status = "ok"
-    except ValueError:
-        if _reachable(pt.phi, pt.od_b, pt.phi1):
-            raise  # an engine fault at a reachable point: exit 2, with nothing written
-        f_val = s_val = None
-        status = "unreachable"
-    if protocol != "router":
-        return [_row(pt, protocol, engine, f_val, s_val, status)]
-    return [
-        _row(pt, label, engine, None if f_val is None else f_val[port], None if s_val is None else s_val.get(port, 0.0), status)
-        for label, port in _ROUTER_PORTS
-    ]
+    pick = operator.itemgetter(*map(_POINT.index, spec.args))
+    for pt in points:
+        args = pick(pt)
+        try:
+            f_val = _FORMULA[protocol](*args) if engine != "simulator" else None
+            s_val = spec.simulate(*args) if engine != "formula" else None
+            status = "ok"
+        except ValueError:
+            phi, od_b, _, phi1 = pt
+            if _reachable(phi, od_b, phi1):
+                raise  # an engine fault at a reachable point: exit 2, with nothing written
+            f_val = s_val = None
+            status = "unreachable"
+        if protocol != "router":
+            values = [(protocol, f_val, s_val)]
+        else:
+            values = [
+                (label, None if f_val is None else f_val[port], None if s_val is None else s_val.get(port, 0.0))
+                for label, port in _ROUTER_PORTS
+            ]
+        for label, f, s in values:
+            if engine == "both":  # both values exist or neither does
+                yield (*pt, label, engine, f, s, None if s is None else abs(f - s), status)
+            else:
+                yield (*pt, label, engine, s if engine == "simulator" else f, status)
 
 
-def _render_sweep(rows: Iterable[dict], engine: str, fmt: str) -> str:
+def _render_sweep(rows: Iterable[tuple], engine: str, fmt: str) -> str:
     """The whole sweep output; a CSV line is formatted as its row arrives and the row dropped."""
     both = engine == "both"
-    header = ["phi", "od_b", "p_de", "phi1", "protocol", "engine", "probability"]
-    header += ["probability_sim", "abs_delta", "status"] if both else ["status"]
+    header = _POINT + ("protocol", "engine", "probability")
+    header += ("probability_sim", "abs_delta", "status") if both else ("status",)
     as_csv = fmt == "csv"
     out: list = [",".join(header)] if as_csv else []
     # An ok row has a value in every cell: one format string writes its line.
     ok_line = ",".join("%s" if k in ("protocol", "engine", "status") else _NUMBER for k in header)
-    cells = operator.itemgetter(*header)
+    keys = header[:7] + header[-1:] + header[7:-1]  # a JSON record puts status before the simulator columns
+    json_cells = operator.itemgetter(*map(header.index, keys))
     max_delta = 0.0
-    for r in rows:
-        if both and r["abs_delta"] is not None:
-            max_delta = max(max_delta, r["abs_delta"])
+    for row in rows:
+        if both and row[-2] is not None:
+            max_delta = max(max_delta, row[-2])
         if not as_csv:
-            out.append({k: _jsonf(v) for k, v in r.items()})
-        elif r["status"] == "ok":
-            out.append(ok_line % cells(r))
+            out.append(dict(zip(keys, map(_jsonf, json_cells(row)))))
+        elif row[-1] == "ok":
+            out.append(ok_line % row)
         else:
-            out.append(",".join([_cell(r[k]) for k in header]))
+            out.append(",".join(map(_cell, row)))
     if not as_csv:
         doc: object = out if not both else {"records": out, "max_abs_delta": _jsonf(max_delta)}
         return json.dumps(doc, indent=2) + "\n"
@@ -271,14 +258,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if ratio != 0.0 and "phi1" not in PROTOCOL_TABLE[protocol].args:
         raise CliError(f"protocol {protocol!r} has no detuned variant; use --phi1-ratio 0", USAGE_ERROR)
     _check_operating_point(phis + [ratio * phi for phi in phis], ods, pdes)
-    rows = (
-        row
-        for phi in phis
-        for od in ods
-        for pde in pdes
-        for row in _sweep_point_rows(protocol, engine, SweepPoint(phi, od, pde, ratio * phi))
-    )
-    text = _render_sweep(rows, engine, fmt)  # every row runs before the output is opened
+    points = ((phi, od, pde, ratio * phi) for phi in phis for od in ods for pde in pdes)
+    text = _render_sweep(_sweep_rows(protocol, engine, points), engine, fmt)  # every row runs before the output is opened
     return _write_output(args.out, lambda fh: fh.write(text))
 
 
@@ -385,12 +366,12 @@ def _write_output(path: Optional[str], emit: Callable[[TextIO], None]) -> int:
     try:
         fh = open(path, "w", encoding="utf-8", newline="\n")
     except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL byte
-        raise CliError(f"cannot write {path}: {exc}", IO_ERROR) from None
+        raise CliError(f"cannot write {path!r}: {exc}", IO_ERROR) from None
     try:
         with fh:
             emit(fh)
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", IO_ERROR) from None
+        raise CliError(f"cannot write {path!r}: {exc}", IO_ERROR) from None
     return 0
 
 

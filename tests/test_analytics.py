@@ -95,6 +95,14 @@ class TestOptimalPhase:
         with pytest.raises(ValueError, match="unknown protocol"):
             find_optimal_phase("nope", 30.0)
 
+    @pytest.mark.parametrize("protocol", ["bell_measurement", "evl_bell_measurement", "ghz"])
+    def test_the_scan_reaches_its_last_point(self, protocol):
+        # hi * n / n rounds above hi = od_b/4 here, which the scan refused as unreachable
+        od, n = 6.849247885843728, 10_000
+        assert od / 4.0 * n / n > od / 4.0
+        r = find_optimal_phase(protocol, od)
+        assert 0.0 < r.phi_opt <= od / 4.0 and 0.0 < r.p_opt <= 1.0
+
     def test_nan_optical_depth_is_refused(self):
         # it used to return phi_opt 3.1e-4
         with pytest.raises(ValueError, match="od_b must be positive"):

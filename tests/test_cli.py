@@ -3,10 +3,10 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
-import pickle
 import tracemalloc
 
 import pytest
@@ -187,21 +187,31 @@ class TestSweepOutput:
     @pytest.mark.parametrize("protocol", ["bm", "router"])
     def test_a_csv_line_is_its_cells_joined(self, protocol, engine):
         # an ok row's line comes from one format string, the others' cell by cell
-        points = [cli.SweepPoint(phi, od_b, 0.98, -phi / 11.0) for phi in (0.0, 1e-300, 1.0, math.pi) for od_b in (3.0, 30.0, math.inf)]
-        rows = [r for pt in points for r in cli._sweep_point_rows(protocol, engine, pt)]
-        assert {r["status"] for r in rows} == {"ok", "unreachable"}
+        points = [(phi, od_b, 0.98, -phi / 11.0) for phi in (0.0, 1e-300, 1.0, math.pi) for od_b in (3.0, 30.0, math.inf)]
+        rows = list(cli._sweep_rows(protocol, engine, points))
+        assert {r[-1] for r in rows} == {"ok", "unreachable"}
         lines = cli._render_sweep(rows, engine, "csv").split("\n")
         header = lines[0].split(",")
-        assert lines[1:len(rows) + 1] == [",".join(cli._cell(r[k]) for k in header) for r in rows]
+        assert {len(r) for r in rows} == {len(header)}
+        assert lines[1:len(rows) + 1] == [",".join(cli._cell(x) for x in r) for r in rows]
 
-    def test_sweep_point_record(self):
-        pt = cli.SweepPoint(phi=1.0, od_b=30.0, p_de=0.98, phi1=-0.5)
-        assert cli.SweepPoint._fields == ("phi", "od_b", "p_de", "phi1")
-        assert repr(pt) == "SweepPoint(phi=1.0, od_b=30.0, p_de=0.98, phi1=-0.5)"
-        assert pickle.loads(pickle.dumps(pt)) == pt
-        assert pt == (1.0, 30.0, 0.98, -0.5)  # a named tuple equals the plain tuple of its values
-        with pytest.raises(AttributeError):
-            pt.phi = 0.0
+    @pytest.mark.parametrize(
+        "protocol, engine, digest",
+        [
+            ("bm", "formula", "273637f01d45fd71a9d78a708f47055288a82375c62bb9d1e9da2c30841802d3"),
+            ("bm", "simulator", "050cad494c9ad0fbbe80e016f4791bb5ec417f14104d64e214588ea225b130ce"),
+            ("bm", "both", "246dc8f771713f22041f4741d5ea60c8824e133359b1753ca2b8254c57b1052f"),
+            ("router", "formula", "c539c797426b8f167e9a0cf69f5d480c9adc79d2cdebd4c72ddff0fdef9a9493"),
+            ("router", "simulator", "5965ed1f6f9dba58f22f43056c675564c4930f109026047930463b86a4e03c51"),
+            ("router", "both", "f197c6782c3c8e7e40289212f000de4b079ba8934ca418e6b8207ce2150a0732"),
+        ],
+    )
+    def test_json_sweep_bytes(self, capsys, protocol, engine, digest):
+        # the detuned engines at od_b 3 (unreachable rows), 30 and inf, in JSON, which no golden covers
+        argv = ["sweep", "--protocol", protocol, "--phi", "0:pi:5", "--odb", "3,30,inf", "--phi1-ratio=-1/11", "--engine", engine, "--format", "json"]
+        code, out, err = run_cli(capsys, *argv + (["--pde", "0.98"] if protocol == "bm" else []))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOtherCommands:
@@ -220,6 +230,12 @@ class TestOtherCommands:
         assert (code, err) == (0, "")
         lower = [r for r in out.splitlines()[1:] if r.split(",")[2] == "lower"]
         assert len(lower) == 781 and lower[-1].split(",")[0] == cli._fmt(od / 4.0)
+
+    def test_opt_phase_reaches_the_last_scan_point(self, capsys):
+        # the scan's last point od_b/4 * n / n rounded above od_b/4 here, and opt-phase exited 2
+        code, out, err = run_cli(capsys, "opt-phase", "--protocol", "ghz", "--odb", "6.849247885843728")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith("6.84924788584,")
 
     def test_opt_phase_footer(self, capsys):
         code, out, _ = run_cli(capsys, "opt-phase", "--protocol", "ghz", "--odb", "60:500:4")
@@ -297,7 +313,7 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"phi": "pi/3", "out": "a\u0000b"}))
         argv = ["--phi", "pi/3", "--out", "a\0b"] if via == "--out" else ["--config", str(cfg)]
-        assert run_cli(capsys, "sweep", *argv) == (3, "", "nlrouter: error: cannot write a\0b: embedded null byte\n")
+        assert run_cli(capsys, "sweep", *argv) == (3, "", "nlrouter: error: cannot write 'a\\x00b': embedded null byte\n")
 
     def test_detuned_ancilla_protocol_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--protocol", "evl", "--phi", "pi/3", "--phi1-ratio", "0.1")
